@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DegenerateDataError, as_series, prefix_suffix_scan, segment_stats
-from .inference import BootstrapDistribution, _multipliers, REDRAW_FACTOR
+from .inference import BootstrapDistribution, _block_draw, _check_B, _resample, _wild_draw
 from .lrv import lrv_selfnorm, lrv_stationary, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
 from .rng import stream
 
@@ -203,7 +203,7 @@ def _sn_stat_rows(xmat: np.ndarray, c: float, k_n: int):
     ok &= tau_ok & (tau_sq > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         stats = max_t / np.sqrt(tau_sq)
-    return stats, j_hat, ok
+    return stats, ok
 
 
 def sn_statistic(x, c: float = 0.1, k_n: int = 10):
@@ -252,33 +252,13 @@ def sn_test(
     by i.i.d. signs/weights and re-runs the whole pipeline, including its
     own split estimate and tau.
     """
-    x = as_series(x)
-    n = x.size
     statistic, scan, eps, tau = sn_statistic(x, c, k_n)
-    j_hat = scan.j_hat
-
-    rng = stream(seed, "sn-test")
-    out = np.empty(B)
-    filled = 0
-    drawn = 0
-    while filled < B:
-        todo = B - filled
-        if drawn + todo > REDRAW_FACTOR * B:
-            raise DegenerateDataError(
-                "bootstrap exceeded the redraw cap; data too degenerate"
-            )
-        alpha = _multipliers(rng, law, (todo, n))
-        drawn += todo
-        xi = eps[None, :] * alpha
-        stats, _jb, ok = _sn_stat_rows(xi, c, k_n)
-        good = stats[ok & np.isfinite(stats)]
-        take = min(good.size, B - filled)
-        out[filled : filled + take] = good[:take]
-        filled += take
+    draw = _wild_draw(stream(seed, "sn-test"), law, eps)
+    out = _resample(B, eps.size, draw, lambda xi: _sn_stat_rows(xi, c, k_n))
 
     return ChangePointReport(
         statistic=statistic,
-        j_hat=j_hat,
+        j_hat=scan.j_hat,
         p_value=_finite_p_value(out, statistic),
         bootstrap=BootstrapDistribution(values=out, B=B, seed=seed),
         tau_hat=tau,
@@ -321,6 +301,7 @@ def classical_test(
     and p-value 1 by convention.
     """
     x = as_series(x)
+    _check_B(B)
     n = x.size
     if segment_stats(x, 1, n).css == 0.0:
         j_lo, j_hi = trimmed_range(n, c)
@@ -340,34 +321,16 @@ def classical_test(
     if tau == 0.0:
         raise DegenerateDataError("degenerate series: zero stationary tau estimate")
     scan = classical_scan(x, c, tau, variant)
-    statistic = scan.max_value
 
-    part_l = n // k_n
-    n_prime = part_l * k_n
-    blocks = xc[:n_prime].reshape(part_l, k_n)
-    rng = stream(seed, "classical-test", variant)
-    out = np.empty(B)
-    filled = 0
-    drawn = 0
-    while filled < B:
-        todo = B - filled
-        if drawn + todo > REDRAW_FACTOR * B:
-            raise DegenerateDataError(
-                "bootstrap exceeded the redraw cap; data too degenerate"
-            )
-        idx = rng.integers(0, part_l, size=(todo, part_l))
-        drawn += todo
-        xb = blocks[idx].reshape(todo, n_prime)
-        stats, ok = _classical_stat_rows(xb, c, k_n, variant)
-        good = stats[ok & np.isfinite(stats)]
-        take = min(good.size, B - filled)
-        out[filled : filled + take] = good[:take]
-        filled += take
+    draw = _block_draw(stream(seed, "classical-test", variant), xc, k_n)
+    out = _resample(
+        B, n // k_n * k_n, draw, lambda xb: _classical_stat_rows(xb, c, k_n, variant)
+    )
 
     return ChangePointReport(
-        statistic=statistic,
+        statistic=scan.max_value,
         j_hat=scan.j_hat,
-        p_value=_finite_p_value(out, statistic),
+        p_value=_finite_p_value(out, scan.max_value),
         bootstrap=BootstrapDistribution(values=out, B=B, seed=seed),
         tau_hat=tau,
         k_n=k_n,

@@ -148,3 +148,13 @@ def prefix_suffix_scan(x: np.ndarray) -> ScanStats:
     suffix_css[-1] = np.nan
 
     return ScanStats(prefix_mean, prefix_css, suffix_mean, suffix_css)
+
+
+CHUNK_ELEMS = 2**21  # elements per (rows, n) float64 batch: 16 MB
+
+
+def row_chunks(rows: int, n: int):
+    """Yield row counts of in-order batches of at most max(CHUNK_ELEMS, n) values."""
+    step = max(1, CHUNK_ELEMS // n)
+    for start in range(0, rows, step):
+        yield min(step, rows - start)

@@ -19,6 +19,7 @@ from .core import (
     InsufficientBlocksError,
     as_series,
     partition,
+    row_chunks,
     segment_stats,
 )
 from .lrv import (
@@ -30,6 +31,41 @@ from .lrv import (
 from .rng import stream
 
 REDRAW_FACTOR = 10  # cap on total bootstrap draws, as a multiple of B
+
+
+def _check_B(B: int) -> None:
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha <= 1:  # alpha = 1 collapses the interval to the point
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+
+
+def _resample(B: int, n: int, draw, stat_rows) -> np.ndarray:
+    """B good statistics of rows from draw(rows), a (rows, n) matrix.
+
+    stat_rows(xmat) returns (values, ok); rows not ok or not finite are
+    redrawn, up to REDRAW_FACTOR * B draws in total. Rounds run in
+    `row_chunks` batches that use the generator in stream order, so memory
+    does not grow with B and the values do not depend on the batch size.
+    """
+    _check_B(B)
+    out = np.empty(B)
+    filled = drawn = 0
+    while filled < B:
+        drawn += B - filled
+        if drawn > REDRAW_FACTOR * B:
+            raise DegenerateDataError(
+                "bootstrap exceeded the redraw cap; data too degenerate"
+            )
+        for rows in row_chunks(B - filled, n):
+            values, ok = stat_rows(draw(rows))
+            good = values[ok & np.isfinite(values)]
+            out[filled : filled + good.size] = good
+            filled += good.size
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,11 +118,22 @@ def _multipliers(rng: np.random.Generator, law: str, size) -> np.ndarray:
     raise ValueError(f"unknown multiplier law: {law!r}")
 
 
+def _wild_draw(rng: np.random.Generator, law: str, eps: np.ndarray):
+    """draw(rows) for `_resample`: eps times i.i.d. multipliers, row-wise."""
+    return lambda rows: eps * _multipliers(rng, law, (rows, eps.size))
+
+
+def _block_draw(rng: np.random.Generator, x: np.ndarray, k_n: int):
+    """draw(rows) for `_resample`: rows of n // k_n blocks of x, with replacement."""
+    l_n = x.size // k_n
+    blocks = x[: l_n * k_n].reshape(l_n, k_n)
+    return lambda rows: blocks[rng.integers(0, l_n, (rows, l_n))].reshape(rows, -1)
+
+
 def sn_ci(x, alpha: float, k_n: int) -> ConfidenceInterval:
     """Self-normalized asymptotic interval Xbar +/- z * tau_hat * V_n / n."""
     x = as_series(x)
-    if not 0 < alpha <= 1:  # alpha = 1 collapses the interval to the point
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     n = x.size
     est = lrv_selfnorm(x, k_n)
     vn_sq = segment_stats(x, 1, n).css
@@ -112,6 +159,7 @@ def combo_ci(
     estimator applied to the concatenation of per-segment centered series,
     assuming a common error process across periods.
     """
+    _check_alpha(alpha)
     weights = np.asarray(weights, dtype=float)
     segs = [as_series(s) for s in segments]
     if len(segs) != weights.size:
@@ -148,38 +196,23 @@ def wild_bootstrap_mean(
     Each replicate multiplies the centered data by i.i.d. mean-zero,
     unit-variance signs/weights and recomputes the self-normalized
     statistic, including its own block tau estimate. Degenerate
-    replicates are redrawn, up to REDRAW_FACTOR * B total draws.
+    replicates are redrawn, up to REDRAW_FACTOR * B total draws. Rows are
+    evaluated in batches of at most max(core.CHUNK_ELEMS, n) values, so
+    memory does not grow with B; the values do not depend on batch size.
     """
     x = as_series(x)
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
-    partition(x.size, k_n)  # validate feasibility up front
-    n = x.size
+    n = partition(x.size, k_n).n  # validates feasibility up front
     eps = x - x.mean()
-    rng = stream(seed, "wb")
-    out = np.empty(B)
-    filled = 0
-    drawn = 0
-    while filled < B:
-        todo = B - filled
-        if drawn + todo > REDRAW_FACTOR * B:
-            raise DegenerateDataError(
-                "wild bootstrap exceeded the redraw cap; data too degenerate"
-            )
-        alpha = _multipliers(rng, law, (todo, n))
-        drawn += todo
-        xi = eps[None, :] * alpha
+
+    def stat_rows(xi):
         s = xi.sum(axis=1)
-        xibar = s / n
-        css = np.sum((xi - xibar[:, None]) ** 2, axis=1)
+        css = np.sum((xi - (s / n)[:, None]) ** 2, axis=1)
         tau_sq, ok = _tau_sq_selfnorm_rows(xi, k_n)
-        ok &= css > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             h = s / (np.sqrt(tau_sq) * np.sqrt(css))
-        good = h[ok & np.isfinite(h)]
-        take = min(good.size, B - filled)
-        out[filled : filled + take] = good[:take]
-        filled += take
+        return h, ok & (css > 0.0)
+
+    out = _resample(B, n, _wild_draw(stream(seed, "wb"), law, eps), stat_rows)
     return BootstrapDistribution(values=out, B=B, seed=seed)
 
 
@@ -198,10 +231,10 @@ def wb_ci(
     tau_hat estimated from the original series.
     """
     x = as_series(x)
+    _check_alpha(alpha)
     n = x.size
     boot = wild_bootstrap_mean(x, B, k_n, law=law, seed=seed)
-    est = lrv_selfnorm(x, k_n)
-    tau = math.sqrt(est.tau_sq_hat)
+    tau = math.sqrt(lrv_selfnorm(x, k_n).tau_sq_hat)
     vn = math.sqrt(segment_stats(x, 1, n).css)
     if vn == 0.0:
         raise DegenerateDataError("degenerate series: zero sample variance")
@@ -221,11 +254,11 @@ def block_bootstrap_mean(
     Samples l_n blocks with replacement and pools them to n' = k_n * l_n
     values. The studentized variant divides by the stationary block tau
     estimate of the resampled series; its degenerate replicates are
-    redrawn under the same cap as the wild bootstrap.
+    redrawn under the same cap as the wild bootstrap. Rows are evaluated
+    in batches of at most max(core.CHUNK_ELEMS, n') values, so memory does
+    not grow with B; the values do not depend on batch size.
     """
     x = as_series(x)
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
     if studentized:
         l_n = partition(x.size, k_n).l_n  # tau estimation needs >= 2 blocks
     else:
@@ -235,33 +268,18 @@ def block_bootstrap_mean(
                 f"insufficient blocks: n={x.size}, k_n={k_n}"
             )
     n_prime = l_n * k_n
-    blocks = x[:n_prime].reshape(l_n, k_n)
     e_star = x[:n_prime].mean()
-    rng = stream(seed, "bb", studentized)
-    out = np.empty(B)
-    filled = 0
-    drawn = 0
-    while filled < B:
-        todo = B - filled
-        if drawn + todo > REDRAW_FACTOR * B:
-            raise DegenerateDataError(
-                "block bootstrap exceeded the redraw cap; data too degenerate"
-            )
-        idx = rng.integers(0, l_n, size=(todo, l_n))
-        drawn += todo
-        xb = blocks[idx].reshape(todo, n_prime)
+
+    def stat_rows(xb):
         xi = math.sqrt(n_prime) * (xb.mean(axis=1) - e_star)
-        if studentized:
-            tau_sq = _tau_sq_stationary_rows(xb, k_n)
-            ok = tau_sq > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = xi / np.sqrt(tau_sq)
-            good = xi[ok]
-        else:
-            good = xi
-        take = min(good.size, B - filled)
-        out[filled : filled + take] = good[:take]
-        filled += take
+        if not studentized:
+            return xi, np.ones(xi.size, dtype=bool)
+        tau_sq = _tau_sq_stationary_rows(xb, k_n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return xi / np.sqrt(tau_sq), tau_sq > 0.0
+
+    draw = _block_draw(stream(seed, "bb", studentized), x, k_n)
+    out = _resample(B, n_prime, draw, stat_rows)
     return BootstrapDistribution(values=out, B=B, seed=seed)
 
 
@@ -279,6 +297,7 @@ def bb_ci(
     the stationary block tau of the original series.
     """
     x = as_series(x)
+    _check_alpha(alpha)
     n = x.size
     boot = block_bootstrap_mean(x, B, k_n, studentized=studentized, seed=seed)
     tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
@@ -297,6 +316,7 @@ def st_ci(x, alpha: float, k_n: int) -> ConfidenceInterval:
     Pretends the modulated series is stationary; kept as the comparator.
     """
     x = as_series(x)
+    _check_alpha(alpha)
     n = x.size
     tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
     half = normal_quantile(1 - alpha / 2) * tau / math.sqrt(n)

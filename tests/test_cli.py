@@ -93,6 +93,13 @@ class TestExitCodes:
         assert main(["ci", path, "--blocks", "5", "--method", "sn"]) == 5
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["sn", "wb", "st", "bb", "sbb"])
+    def test_alpha_out_of_range_is_4(self, tmp_path, capsys, method):
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(2).normal(size=60))
+        argv = ["ci", path, "--blocks", "5", "--method", method, "--alpha", "1.5"]
+        assert main(argv) == 4
+        assert "alpha must be in (0, 1]" in capsys.readouterr().err
+
 
 class TestSimulateRoundTrip:
     def test_lrv_matches_library_bit_exact(self, tmp_path, capsys):

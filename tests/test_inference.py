@@ -236,6 +236,23 @@ class TestStCi:
         assert ci.upper - ci.point == pytest.approx(ci.point - ci.lower, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan")])
+@pytest.mark.parametrize(
+    "interval",
+    [
+        wb_ci,
+        bb_ci,
+        lambda x, alpha, k: bb_ci(x, alpha, k, studentized=True),
+        st_ci,
+        lambda x, alpha, k: combo_ci([x], [1.0], alpha, k),
+    ],
+    ids=["wb", "bb", "sbb", "st", "combo"],
+)
+def test_alpha_out_of_range_rejected(interval, alpha):
+    with pytest.raises(ValueError, match="alpha must be in"):
+        interval(random_series(12), alpha, 8)
+
+
 class TestIntervalBehavior:
     def test_sn_width_shrinks_with_n(self):
         widths = {}
