@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDataError, as_series, prefix_suffix_scan, segment_stats
+from .core import DegenerateDataError, _scan_rows, as_series, partition, segment_stats
 from .inference import BootstrapDistribution, _block_draw, _check_B, _resample, _wild_draw
 from .lrv import lrv_selfnorm, lrv_stationary, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
 from .rng import stream
@@ -75,85 +75,124 @@ def trimmed_range(n: int, c: float) -> tuple[int, int]:
     return j_lo, j_hi
 
 
+def _sx_rows(cs: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """S_X at the consecutive splits j of each row, from the row prefix sums cs."""
+    return cs[:, j[0] - 1 : j[-1]] - (j / cs.shape[1]) * cs[:, -1:]
+
+
 def sx(x, j: int) -> float:
-    """Weighted CUSUM contrast (1 - j/n) * sum_{i<=j} X_i - (j/n) * sum_{i>j} X_i."""
+    """Weighted CUSUM contrast (1 - j/n) * sum_{i<=j} X_i - (j/n) * sum_{i>j} X_i.
+
+    The B = 1 row of `_sx_rows` at the single split j.
+    """
     x = as_series(x)
     n = x.size
     if not 1 <= j <= n - 1:
         raise ValueError(f"split j={j} out of range 1..{n - 1}")
-    s = np.cumsum(x)
-    return float(s[j - 1] - (j / n) * s[-1])
+    return float(_sx_rows(np.cumsum(x)[None], np.array([j]))[0, 0])
 
 
-def _sx_all(x: np.ndarray) -> np.ndarray:
-    """S_X(j) for every j = 1..n-1 via one prefix-sum pass."""
-    s = np.cumsum(x)
-    j = np.arange(1, x.size)
-    return s[:-1] - (j / x.size) * s[-1]
+def _splits(n: int, c: float) -> np.ndarray:
+    j_lo, j_hi = trimmed_range(n, c)
+    return np.arange(j_lo, j_hi + 1)
+
+
+def _scan(c: float, j: np.ndarray, values: np.ndarray, kind: str) -> CusumScan:
+    """The CusumScan of one row of scan values at the splits j."""
+    i_hat = int(np.argmax(np.abs(values)))
+    return CusumScan(
+        c=c,
+        j_lo=int(j[0]),
+        j_hi=int(j[-1]),
+        values=values,
+        max_value=float(abs(values[i_hat])),
+        j_hat=int(j[i_hat]),
+        kind=kind,
+    )
+
+
+def _sn_scan_rows(xmat: np.ndarray, c: float):
+    """Self-normalized scan T(j) at the trimmed splits j of each row of a (B, n) matrix.
+
+    T(j) divides S_X(j) by the pooled prefix/suffix standard deviation
+    sqrt((1-j/n)^2 V_under_j^2 + (j/n)^2 V_over_j^2). Returns
+    (t, pos, xc, cs, rs): pos flags splits with a positive denominator
+    (t is 0 where it is not finite), and xc, cs, rs are the centered rows
+    and their prefix and suffix sums from `core._scan_rows`.
+    """
+    n = xmat.shape[1]
+    j = _splits(n, c)
+    _mean, xc, cs, rs, pre_css, suf_css = _scan_rows(xmat)
+    sel = slice(j[0] - 1, j[-1])
+    denom_sq = (1.0 - j / n) ** 2 * pre_css[:, sel] + (j / n) ** 2 * suf_css[:, sel]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _sx_rows(cs, j) / np.sqrt(denom_sq)  # S_X is shift invariant
+    return np.where(np.isfinite(t), t, 0.0), denom_sq > 0.0, xc, cs, rs
+
+
+def _sn_scan_row(x, c: float):
+    """The B = 1 row of `_sn_scan_rows` as a CusumScan, with its xc, cs and rs."""
+    x = as_series(x)
+    t, pos, xc, cs, rs = _sn_scan_rows(x[None], c)
+    j = _splits(x.size, c)
+    if not pos.all():
+        bad = int(j[np.argmin(pos[0])])
+        raise DegenerateDataError(f"degenerate scan at j={bad}: zero denominator")
+    return _scan(c, j, t[0], "sn"), xc, cs, rs
 
 
 def sn_scan(x, c: float = 0.1) -> CusumScan:
-    """Self-normalized CUSUM scan in O(n).
+    """Self-normalized CUSUM scan in O(n), the B = 1 row of `_sn_scan_rows`.
 
     T(j) divides S_X(j) by the pooled prefix/suffix standard deviation
     sqrt((1-j/n)^2 V_under_j^2 + (j/n)^2 V_over_j^2), removing
     time-varying scales split by split.
     """
-    x = as_series(x)
-    n = x.size
-    j_lo, j_hi = trimmed_range(n, c)
-    scan = prefix_suffix_scan(x)
-    j = np.arange(j_lo, j_hi + 1)
-    w_pre = 1.0 - j / n
-    w_suf = j / n
-    denom_sq = w_pre**2 * scan.prefix_css[j - 1] + w_suf**2 * scan.suffix_css[j - 1]
-    if np.any(denom_sq <= 0.0):
-        bad = int(j[np.argmax(denom_sq <= 0.0)])
-        raise DegenerateDataError(f"degenerate scan at j={bad}: zero denominator")
-    values = _sx_all(x)[j - 1] / np.sqrt(denom_sq)
-    i_hat = int(np.argmax(np.abs(values)))
-    return CusumScan(
-        c=c,
-        j_lo=j_lo,
-        j_hi=j_hi,
-        values=values,
-        max_value=float(abs(values[i_hat])),
-        j_hat=j_lo + i_hat,
-        kind="sn",
-    )
+    return _sn_scan_row(x, c)[0]
+
+
+def _cusum_rows(xmat: np.ndarray, c: float, variant: str) -> np.ndarray:
+    """|S_X(j)| at the trimmed splits of each row, over sqrt(j(1 - j/n)) for "t1"."""
+    n = xmat.shape[1]
+    j = _splits(n, c)
+    values = np.abs(_sx_rows(np.cumsum(xmat, axis=1), j))
+    if variant == "t1":
+        values = values / np.sqrt(j * (1.0 - j / n))
+    return values
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("t1", "t2"):
+        raise ValueError(f"variant must be 't1' or 't2', got {variant!r}")
 
 
 def classical_scan(x, c: float, tau_hat: float, variant: str) -> CusumScan:
     """Classical CUSUM scan: |S_X(j)| scaled by 1/tau_hat.
 
     Variant "t1" additionally studentizes by sqrt(j(1 - j/n)); "t2" is
-    the unweighted maximum.
+    the unweighted maximum. The scan is the B = 1 row of `_cusum_rows`,
+    which `_classical_stat_rows` also runs.
     """
     x = as_series(x)
     if tau_hat <= 0:
         raise ValueError(f"tau_hat must be positive, got {tau_hat}")
-    if variant not in ("t1", "t2"):
-        raise ValueError(f"variant must be 't1' or 't2', got {variant!r}")
-    n = x.size
-    j_lo, j_hi = trimmed_range(n, c)
-    j = np.arange(j_lo, j_hi + 1)
-    values = np.abs(_sx_all(x)[j - 1]) / tau_hat
-    if variant == "t1":
-        values = values / np.sqrt(j * (1.0 - j / n))
-    i_hat = int(np.argmax(values))
-    return CusumScan(
-        c=c,
-        j_lo=j_lo,
-        j_hi=j_hi,
-        values=values,
-        max_value=float(values[i_hat]),
-        j_hat=j_lo + i_hat,
-        kind=variant,
-    )
+    _check_variant(variant)
+    values = _cusum_rows(x[None], c, variant)[0] / tau_hat
+    return _scan(c, _splits(x.size, c), values, variant)
 
 
 def _finite_p_value(boot: np.ndarray, observed: float) -> float:
     return (1.0 + float(np.sum(boot >= observed))) / (boot.size + 1.0)
+
+
+def _split_residual_rows(xc, cs, rs, j_hat: np.ndarray) -> np.ndarray:
+    """Each centered row minus its own mean before, and after, its split j_hat."""
+    b, n = xc.shape
+    rows = np.arange(b)
+    pre_mean = cs[rows, j_hat - 1] / j_hat
+    suf_mean = rs[rows, j_hat - 1] / (n - j_hat)
+    before = np.arange(n)[None, :] < j_hat[:, None]
+    return xc - np.where(before, pre_mean[:, None], suf_mean[:, None])
 
 
 def _sn_stat_rows(xmat: np.ndarray, c: float, k_n: int):
@@ -164,63 +203,26 @@ def _sn_stat_rows(xmat: np.ndarray, c: float, k_n: int):
     the max scan value. Returns (stats, ok) with ok flagging rows free of
     degeneracies.
     """
-    b, n = xmat.shape
-    j_lo, j_hi = trimmed_range(n, c)
-    j = np.arange(j_lo, j_hi + 1, dtype=float)
-
-    row_mean = xmat.mean(axis=1, keepdims=True)
-    xc = xmat - row_mean  # css terms are shift invariant
-    cs = np.cumsum(xc, axis=1)
-    cq = np.cumsum(xc * xc, axis=1)
-    jj = np.arange(1, n + 1, dtype=float)
-    pre_css = np.maximum(cq - cs * cs / jj, 0.0)
-    m = n - jj
-    rs = cs[:, -1:] - cs
-    rq = cq[:, -1:] - cq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        suf_css = np.maximum(rq - rs * rs / m, 0.0)
-
-    sel = slice(j_lo - 1, j_hi)
-    w_pre = 1.0 - j / n
-    w_suf = j / n
-    denom_sq = w_pre**2 * pre_css[:, sel] + w_suf**2 * suf_css[:, sel]
-    ok = np.all(denom_sq > 0.0, axis=1)
-    sxv = cs[:, sel] - (j / n) * cs[:, -1:]  # S_X is shift covariant; shift cancels
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = sxv / np.sqrt(denom_sq)
-    t = np.where(np.isfinite(t), t, 0.0)
+    t, pos, xc, cs, rs = _sn_scan_rows(xmat, c)
     i_hat = np.argmax(np.abs(t), axis=1)
-    max_t = np.abs(t[np.arange(b), i_hat])
-    j_hat = j_lo + i_hat
-
-    rows = np.arange(b)
-    pre_mean = cs[rows, j_hat - 1] / j_hat
-    suf_mean = (cs[rows, -1] - cs[rows, j_hat - 1]) / (n - j_hat)
-    idx = np.arange(n)[None, :] < j_hat[:, None]
-    eps = xc - np.where(idx, pre_mean[:, None], suf_mean[:, None])
-
-    tau_sq, tau_ok = _tau_sq_selfnorm_rows(eps, k_n)
-    ok &= tau_ok & (tau_sq > 0.0)
+    max_t = np.abs(t[np.arange(t.shape[0]), i_hat])
+    eps = _split_residual_rows(xc, cs, rs, _splits(xmat.shape[1], c)[i_hat])
+    tau_sq, ok = _tau_sq_selfnorm_rows(eps, k_n)
+    ok &= np.all(pos, axis=1) & (tau_sq > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        stats = max_t / np.sqrt(tau_sq)
-    return stats, ok
+        return max_t / np.sqrt(tau_sq), ok
 
 
 def sn_statistic(x, c: float = 0.1, k_n: int = 10):
     """Observed self-normalized test statistic and its ingredients.
 
-    Runs steps shared by the test and the power harness: scan, split at
-    the argmax, center each side by its own mean, estimate tau on the
-    pooled residuals, scale the max scan value. Returns
-    (statistic, scan, residuals, tau_hat).
+    The B = 1 row of `_sn_stat_rows`, run step by step so that each
+    degeneracy raises: scan, split at the argmax, center each side by its
+    own mean, estimate tau on the pooled residuals, scale the max scan
+    value. Returns (statistic, scan, residuals, tau_hat).
     """
-    x = as_series(x)
-    n = x.size
-    scan = sn_scan(x, c)
-    j_hat = scan.j_hat
-    pre = segment_stats(x, 1, j_hat)
-    suf = segment_stats(x, j_hat + 1, n)
-    eps = np.concatenate([x[:j_hat] - pre.mean, x[j_hat:] - suf.mean])
+    scan, xc, cs, rs = _sn_scan_row(x, c)
+    eps = _split_residual_rows(xc, cs, rs, np.array([scan.j_hat]))[0]
     tau = math.sqrt(lrv_selfnorm(eps, k_n).tau_sq_hat)
     if tau == 0.0:
         raise DegenerateDataError("degenerate residuals: zero tau estimate")
@@ -228,12 +230,17 @@ def sn_statistic(x, c: float = 0.1, k_n: int = 10):
 
 
 def classical_statistic(x, c: float, k_n: int, variant: str) -> float:
-    """Classical CUSUM statistic with the stationary block tau estimate."""
+    """Classical CUSUM statistic with the stationary block tau estimate.
+
+    The B = 1 row of `_classical_stat_rows`.
+    """
     x = as_series(x)
-    tau = math.sqrt(lrv_stationary(x - x.mean(), k_n).tau_sq_hat)
-    if tau == 0.0:
+    _check_variant(variant)
+    partition(x.size, k_n)
+    stats, ok = _classical_stat_rows(x[None], c, k_n, variant)
+    if not ok[0]:
         raise DegenerateDataError("degenerate series: zero stationary tau estimate")
-    return classical_scan(x, c, tau, variant).max_value
+    return float(stats[0])
 
 
 def sn_test(
@@ -270,19 +277,9 @@ def sn_test(
 
 def _classical_stat_rows(xmat: np.ndarray, c: float, k_n: int, variant: str):
     """Classical CUSUM statistic row-wise, each row with its own tau."""
-    b, n = xmat.shape
-    j_lo, j_hi = trimmed_range(n, c)
-    j = np.arange(j_lo, j_hi + 1, dtype=float)
-    cs = np.cumsum(xmat, axis=1)
-    sxv = np.abs(cs[:, j_lo - 1 : j_hi] - (j / n) * cs[:, -1:])
-    if variant == "t1":
-        sxv = sxv / np.sqrt(j * (1.0 - j / n))
-    max_s = sxv.max(axis=1)
     tau_sq = _tau_sq_stationary_rows(xmat, k_n)
-    ok = tau_sq > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        stats = max_s / np.sqrt(tau_sq)
-    return stats, ok
+        return _cusum_rows(xmat, c, variant).max(axis=1) / np.sqrt(tau_sq), tau_sq > 0.0
 
 
 def classical_test(
@@ -304,11 +301,11 @@ def classical_test(
     _check_B(B)
     n = x.size
     if segment_stats(x, 1, n).css == 0.0:
-        j_lo, j_hi = trimmed_range(n, c)
-        scan = CusumScan(c, j_lo, j_hi, np.zeros(j_hi - j_lo + 1), 0.0, j_lo, variant)
+        j = _splits(n, c)
+        scan = _scan(c, j, np.zeros(j.size), variant)
         return ChangePointReport(
             statistic=0.0,
-            j_hat=j_lo,
+            j_hat=scan.j_hat,
             p_value=1.0,
             bootstrap=BootstrapDistribution(values=np.zeros(0), B=B, seed=seed),
             tau_hat=0.0,
@@ -316,13 +313,12 @@ def classical_test(
             test=variant,
             scan=scan,
         )
-    xc = x - x.mean()
-    tau = math.sqrt(lrv_stationary(xc, k_n).tau_sq_hat)
+    tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
     if tau == 0.0:
         raise DegenerateDataError("degenerate series: zero stationary tau estimate")
     scan = classical_scan(x, c, tau, variant)
 
-    draw = _block_draw(stream(seed, "classical-test", variant), xc, k_n)
+    draw = _block_draw(stream(seed, "classical-test", variant), x - x.mean(), k_n)
     out = _resample(
         B, n // k_n * k_n, draw, lambda xb: _classical_stat_rows(xb, c, k_n, variant)
     )
@@ -357,3 +353,20 @@ def variance_change_test(
     if segment_stats(xt, 1, xt.size).css == 0.0:
         raise DegenerateDataError("degenerate transform: squared series is constant")
     return sn_test(xt, c=c, k_n=k_n, B=B, law=law, seed=seed)
+
+
+# method -> (test(x, c, k_n, B, seed), statistic(x, c, k_n))
+_TESTS = {
+    "sn": (
+        lambda x, c, k_n, B, seed: sn_test(x, c, k_n, B, seed=seed),
+        lambda x, c, k_n: sn_statistic(x, c, k_n)[0],
+    ),
+    "t1": (
+        lambda x, c, k_n, B, seed: classical_test(x, c, k_n, B, "t1", seed),
+        lambda x, c, k_n: classical_statistic(x, c, k_n, "t1"),
+    ),
+    "t2": (
+        lambda x, c, k_n, B, seed: classical_test(x, c, k_n, B, "t2", seed),
+        lambda x, c, k_n: classical_statistic(x, c, k_n, "t2"),
+    ),
+}

@@ -208,22 +208,9 @@ def cmd_select_k(args):
 def cmd_ci(args):
     t0 = time.perf_counter()
     x, _labels, inputs = _load_series(args)
-    k = args.blocks
-    method = args.method
-    if method == "sn":
-        ci = inference.sn_ci(x, args.alpha, k)
-    elif method == "wb":
-        ci = inference.wb_ci(
-            x, args.alpha, k, B=args.bootstrap, law=args.multiplier, seed=args.seed
-        )
-    elif method == "st":
-        ci = inference.st_ci(x, args.alpha, k)
-    elif method == "bb":
-        ci = inference.bb_ci(x, args.alpha, k, B=args.bootstrap, seed=args.seed)
-    else:  # sbb
-        ci = inference.bb_ci(
-            x, args.alpha, k, B=args.bootstrap, studentized=True, seed=args.seed
-        )
+    ci = inference._INTERVALS[args.method](
+        x, args.alpha, args.blocks, args.bootstrap, args.seed, args.multiplier
+    )
     _emit(args, _report(args, ci.to_dict(), inputs), t0)
 
 
@@ -250,11 +237,7 @@ def cmd_changepoint(args):
             return cp.variance_change_test(
                 x, c=args.c, k_n=k, B=args.bootstrap, seed=args.seed
             )
-        if args.test == "sn":
-            return cp.sn_test(x, c=args.c, k_n=k, B=args.bootstrap, seed=args.seed)
-        return cp.classical_test(
-            x, c=args.c, k_n=k, B=args.bootstrap, variant=args.test, seed=args.seed
-        )
+        return cp._TESTS[args.test][0](x, args.c, k, args.bootstrap, args.seed)
 
     schedule = []
     last = None
@@ -394,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ci", help="confidence interval for the mean")
     add_io(sp)
-    sp.add_argument("--method", choices=["sn", "wb", "st", "bb", "sbb"], default="sn")
+    sp.add_argument("--method", choices=list(inference._INTERVALS), default="sn")
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--blocks", type=int, required=True)
     sp.add_argument("--bootstrap", type=int, default=1000)
@@ -409,12 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--blocks", type=int, required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_ci_combo)
 
     sp = sub.add_parser("changepoint", help="change-point test")
     add_io(sp)
-    sp.add_argument("--test", choices=["sn", "t1", "t2"], default="sn")
+    sp.add_argument("--test", choices=list(cp._TESTS), default="sn")
     sp.add_argument("--c", type=float, default=0.1, help="trimming fraction")
     sp.add_argument("--blocks", type=int, default=10)
     sp.add_argument("--bootstrap", type=int, default=1000)

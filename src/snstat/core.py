@@ -120,34 +120,45 @@ class ScanStats:
     suffix_css: np.ndarray
 
 
+def _css(q, s, count):
+    """Centered sum of squares Q - S^2 / count from a segment's sums, floored at 0."""
+    return np.maximum(q - s * s / count, 0.0)
+
+
+def _scan_rows(xmat: np.ndarray):
+    """Prefix/suffix sums and centered sums of squares for each row of a (B, n) matrix.
+
+    Rows are centered by their own means first, so the cumulative-moment
+    formula css = Q - S^2 / count stays well conditioned (css is shift
+    invariant). Returns (mean, xc, cs, rs, prefix_css, suffix_css): the
+    (B, 1) row means, the centered rows, and at column j - 1 the centered
+    sums of the prefix 1..j (cs) and the suffix j+1..n (rs) and their
+    css. Suffix css at j = n is NaN (empty segment).
+    """
+    n = xmat.shape[1]
+    mean = xmat.mean(axis=1, keepdims=True)
+    xc = xmat - mean
+    cs = np.cumsum(xc, axis=1)
+    cq = np.cumsum(xc * xc, axis=1)
+    j = np.arange(1, n + 1, dtype=float)
+    rs = cs[:, -1:] - cs
+    with np.errstate(divide="ignore", invalid="ignore"):  # the suffix at j = n is empty
+        suffix_css = _css(cq[:, -1:] - cq, rs, n - j)
+    return mean, xc, cs, rs, _css(cq, cs, j), suffix_css
+
+
 def prefix_suffix_scan(x: np.ndarray) -> ScanStats:
     """Compute all prefix/suffix means and centered sums of squares in O(n).
 
-    Data is centered by the global mean before accumulating, so the
-    cumulative-moment formula css_j = Q_j - S_j^2 / j stays well
-    conditioned (css is shift invariant).
+    The B = 1 row of `_scan_rows`, which the self-normalized CUSUM scan
+    also runs.
     """
     x = as_series(x)
-    n = x.size
-    gm = x.mean()
-    xc = x - gm
-    cs = np.cumsum(xc)
-    cq = np.cumsum(xc * xc)
-    j = np.arange(1, n + 1, dtype=float)
-
-    prefix_mean = gm + cs / j
-    prefix_css = np.maximum(cq - cs * cs / j, 0.0)
-
-    m = n - j  # suffix counts
-    rs = cs[-1] - cs
-    rq = cq[-1] - cq
+    mean, _xc, cs, rs, prefix_css, suffix_css = _scan_rows(x[None])
+    j = np.arange(1, x.size + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        suffix_mean = gm + rs / m
-        suffix_css = np.maximum(rq - rs * rs / m, 0.0)
-    suffix_mean[-1] = np.nan
-    suffix_css[-1] = np.nan
-
-    return ScanStats(prefix_mean, prefix_css, suffix_mean, suffix_css)
+        suffix_mean = mean[0] + rs[0] / (x.size - j)
+    return ScanStats(mean[0] + cs[0] / j, prefix_css[0], suffix_mean, suffix_css[0])
 
 
 CHUNK_ELEMS = 2**21  # elements per (rows, n) float64 batch: 16 MB

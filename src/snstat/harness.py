@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import inference
-from .changepoint import classical_statistic, classical_test, sn_statistic, sn_test
+from .changepoint import _TESTS
+from .inference import _INTERVALS
 from .rng import derive_seed
 from .simgen import ErrorModel, SigmaProfile, SimModel, generate
 
-COVERAGE_METHODS = ("sn", "wb", "st", "bb", "sbb")
-TEST_METHODS = ("sn", "t1", "t2")
+COVERAGE_METHODS = tuple(_INTERVALS)
+TEST_METHODS = tuple(_TESTS)
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,8 @@ class ExperimentSpec:
                 raise ValueError("power runs need a lambda grid including 0")
             if self.calibration_reps < 1:
                 raise ValueError("calibration_reps must be >= 1")
-        if self.kind == "coverage":
-            bad = set(m.lower() for m in self.methods) - set(COVERAGE_METHODS)
-        else:
-            bad = set(m.lower() for m in self.methods) - set(TEST_METHODS)
+        known = COVERAGE_METHODS if self.kind == "coverage" else TEST_METHODS
+        bad = set(m.lower() for m in self.methods) - set(known)
         if bad:
             raise ValueError(f"unknown methods for kind={self.kind!r}: {sorted(bad)}")
 
@@ -133,16 +131,7 @@ def _coverage_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int
         x = generate(_null_model(spec, profile, error, rep_seed))
         for m in methods:
             boot_seed = derive_seed(rep_seed, "boot", m)
-            if m == "sn":
-                ci = inference.sn_ci(x, alpha, k)
-            elif m == "wb":
-                ci = inference.wb_ci(x, alpha, k, B=B, seed=boot_seed)
-            elif m == "st":
-                ci = inference.st_ci(x, alpha, k)
-            elif m == "bb":
-                ci = inference.bb_ci(x, alpha, k, B=B, studentized=False, seed=boot_seed)
-            else:
-                ci = inference.bb_ci(x, alpha, k, B=B, studentized=True, seed=boot_seed)
+            ci = _INTERVALS[m](x, alpha, k, B, boot_seed, "rademacher")
             hits[m] += ci.covers(0.0)
     return {
         (profile, error.label(), k, m): _binomial_cell(hits[m], spec.replications)
@@ -160,12 +149,7 @@ def _size_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):
         x = generate(_null_model(spec, profile, error, rep_seed))
         for m in methods:
             boot_seed = derive_seed(rep_seed, "boot", m)
-            if m == "sn":
-                rep = sn_test(x, c=spec.trim, k_n=k, B=B, seed=boot_seed)
-            else:
-                rep = classical_test(
-                    x, c=spec.trim, k_n=k, B=B, variant=m, seed=boot_seed
-                )
+            rep = _TESTS[m][0](x, spec.trim, k, B, boot_seed)
             hits[m] += rep.p_value <= alpha
     return {
         (profile, error.label(), k, m): _binomial_cell(hits[m], spec.replications)
@@ -174,13 +158,7 @@ def _size_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):
 
 
 def _statistics(x, spec: ExperimentSpec, k: int, methods) -> dict:
-    out = {}
-    for m in methods:
-        if m == "sn":
-            out[m] = sn_statistic(x, spec.trim, k)[0]
-        else:
-            out[m] = classical_statistic(x, spec.trim, k, m)
-    return out
+    return {m: _TESTS[m][1](x, spec.trim, k) for m in methods}
 
 
 def _power_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):

@@ -130,17 +130,22 @@ def _block_draw(rng: np.random.Generator, x: np.ndarray, k_n: int):
     return lambda rows: blocks[rng.integers(0, l_n, (rows, l_n))].reshape(rows, -1)
 
 
+def _tau_vn(x: np.ndarray, k_n: int) -> tuple[float, float]:
+    """Self-normalized tau_hat and V_n = sqrt(centered sum of squares) of x."""
+    tau = math.sqrt(lrv_selfnorm(x, k_n).tau_sq_hat)
+    vn_sq = segment_stats(x, 1, x.size).css
+    if vn_sq == 0.0:
+        raise DegenerateDataError("degenerate series: zero sample variance")
+    return tau, math.sqrt(vn_sq)
+
+
 def sn_ci(x, alpha: float, k_n: int) -> ConfidenceInterval:
     """Self-normalized asymptotic interval Xbar +/- z * tau_hat * V_n / n."""
     x = as_series(x)
     _check_alpha(alpha)
     n = x.size
-    est = lrv_selfnorm(x, k_n)
-    vn_sq = segment_stats(x, 1, n).css
-    if vn_sq == 0.0:
-        raise DegenerateDataError("degenerate series: zero sample variance")
-    tau = math.sqrt(est.tau_sq_hat)
-    half = normal_quantile(1 - alpha / 2) * tau * math.sqrt(vn_sq) / n
+    tau, vn = _tau_vn(x, k_n)
+    half = normal_quantile(1 - alpha / 2) * tau * vn / n
     xbar = float(x.mean())
     return ConfidenceInterval(xbar - half, xbar + half, 1 - alpha, xbar, "sn", tau, k_n)
 
@@ -228,16 +233,14 @@ def wb_ci(
 
     The bootstrap distribution approximates n(Xbar - mu)/(tau * V_n), so
     mu = Xbar - h * tau_hat * V_n / n at the empirical quantiles h, with
-    tau_hat estimated from the original series.
+    tau_hat estimated from the original series. tau_hat and V_n are
+    checked before the bootstrap, so degenerate data fails without drawing.
     """
     x = as_series(x)
     _check_alpha(alpha)
     n = x.size
+    tau, vn = _tau_vn(x, k_n)
     boot = wild_bootstrap_mean(x, B, k_n, law=law, seed=seed)
-    tau = math.sqrt(lrv_selfnorm(x, k_n).tau_sq_hat)
-    vn = math.sqrt(segment_stats(x, 1, n).css)
-    if vn == 0.0:
-        raise DegenerateDataError("degenerate series: zero sample variance")
     q_lo, q_hi = np.quantile(boot.values, [alpha / 2, 1 - alpha / 2])
     xbar = float(x.mean())
     scale = tau * vn / n
@@ -322,3 +325,13 @@ def st_ci(x, alpha: float, k_n: int) -> ConfidenceInterval:
     half = normal_quantile(1 - alpha / 2) * tau / math.sqrt(n)
     xbar = float(x.mean())
     return ConfidenceInterval(xbar - half, xbar + half, 1 - alpha, xbar, "st", tau, k_n)
+
+
+# method -> interval(x, alpha, k_n, B, seed, law); sn and st draw nothing
+_INTERVALS = {
+    "sn": lambda x, alpha, k_n, B, seed, law: sn_ci(x, alpha, k_n),
+    "wb": lambda x, alpha, k_n, B, seed, law: wb_ci(x, alpha, k_n, B, law, seed),
+    "st": lambda x, alpha, k_n, B, seed, law: st_ci(x, alpha, k_n),
+    "bb": lambda x, alpha, k_n, B, seed, law: bb_ci(x, alpha, k_n, B, False, seed),
+    "sbb": lambda x, alpha, k_n, B, seed, law: bb_ci(x, alpha, k_n, B, True, seed),
+}

@@ -29,13 +29,36 @@ class LongRunEstimate:
     method: str  # "selfnorm" or "stationary"
 
 
-def _block_stats(x: np.ndarray, k_n: int):
-    x = as_series(x)
-    part = partition(x.size, k_n)
-    blocks = part.view(x)
-    bm = blocks.mean(axis=1)
-    css = np.sum((blocks - bm[:, None]) ** 2, axis=1)
-    return part, bm, css, x.mean()
+def _block_means(xmat: np.ndarray, k_n: int):
+    """Blocks (B, l_n, k_n) of each row of a (B, n) matrix and their means (B, l_n)."""
+    b, n = xmat.shape
+    l_n = n // k_n
+    blocks = xmat[:, : l_n * k_n].reshape(b, l_n, k_n)
+    return blocks, blocks.mean(axis=2)
+
+
+def _d_selfnorm_rows(xmat: np.ndarray, k_n: int):
+    """Self-normalized D_j of each row of a (B, n) matrix, with the within-block css."""
+    blocks, bm = _block_means(xmat, k_n)
+    css = np.sum((blocks - bm[:, :, None]) ** 2, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return k_n * (bm - xmat.mean(axis=1)[:, None]) / np.sqrt(css), css
+
+
+def _d_stationary_rows(xmat: np.ndarray, k_n: int) -> np.ndarray:
+    """Stationary D_j of each row of a (B, n) matrix."""
+    return np.sqrt(k_n) * (_block_means(xmat, k_n)[1] - xmat.mean(axis=1)[:, None])
+
+
+def _mean_sq(d: np.ndarray) -> np.ndarray:
+    """tau^2 of each row: the mean of its D_j^2."""
+    return np.mean(d * d, axis=1)
+
+
+def _estimate(part, d_rows: np.ndarray, method: str) -> LongRunEstimate:
+    """The estimate whose D_j are the single row of d_rows."""
+    tau_sq = float(_mean_sq(d_rows)[0])
+    return LongRunEstimate(tau_sq, part.k_n, part.l_n, d_rows[0], method)
 
 
 def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
@@ -43,7 +66,8 @@ def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
 
     D_j = k_n * (block mean - overall mean) / within-block sd, and
     tau^2_hat is the average of D_j^2. The overall mean includes any
-    remainder indices beyond the last full block.
+    remainder indices beyond the last full block. This is the B = 1 row
+    of `_tau_sq_selfnorm_rows`.
 
     The estimator is biased at any fixed block length: on i.i.d.
     Gaussian data E[D_j^2] = k_n (1 - k_n/n) / (k_n - 3) exactly (1.131
@@ -52,37 +76,27 @@ def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
     therefore needs k_n -> infinity; `select_block_length` trades this
     bias against the variance of fewer, longer blocks.
     """
-    part, bm, css, xbar = _block_stats(x, k_n)
-    degenerate = np.flatnonzero(css == 0.0)
+    x = as_series(x)
+    part = partition(x.size, k_n)
+    d, css = _d_selfnorm_rows(x[None], k_n)
+    degenerate = np.flatnonzero(css[0] == 0.0)
     if degenerate.size:
         raise DegenerateDataError(
             f"degenerate block {degenerate[0] + 1}: zero within-block variance"
         )
-    d = k_n * (bm - xbar) / np.sqrt(css)
-    return LongRunEstimate(
-        tau_sq_hat=float(np.mean(d * d)),
-        k_n=part.k_n,
-        l_n=part.l_n,
-        d_values=d,
-        method="selfnorm",
-    )
+    return _estimate(part, d, "selfnorm")
 
 
 def lrv_stationary(x, k_n: int) -> LongRunEstimate:
     """Non-normalized blockwise estimate D_j = sqrt(k_n)(block mean - mean).
 
     Valid only under stationarity; kept as the comparator. Degenerate
-    blocks are allowed since no per-block normalization occurs.
+    blocks are allowed since no per-block normalization occurs. This is
+    the B = 1 row of `_tau_sq_stationary_rows`.
     """
-    part, bm, _css, xbar = _block_stats(x, k_n)
-    d = np.sqrt(k_n) * (bm - xbar)
-    return LongRunEstimate(
-        tau_sq_hat=float(np.mean(d * d)),
-        k_n=part.k_n,
-        l_n=part.l_n,
-        d_values=d,
-        method="stationary",
-    )
+    x = as_series(x)
+    part = partition(x.size, k_n)
+    return _estimate(part, _d_stationary_rows(x[None], k_n), "stationary")
 
 
 def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
@@ -92,26 +106,13 @@ def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
     Used by the resampling driver, which evaluates thousands of
     resampled series per call.
     """
-    b, n = xmat.shape
-    l_n = n // k_n
-    blocks = xmat[:, : l_n * k_n].reshape(b, l_n, k_n)
-    bm = blocks.mean(axis=2)
-    css = np.sum((blocks - bm[:, :, None]) ** 2, axis=2)
-    ok = np.all(css > 0.0, axis=1)
-    xbar = xmat.mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = k_n * (bm - xbar[:, None]) / np.sqrt(css)
-        tau_sq = np.mean(d * d, axis=1)
-    return tau_sq, ok
+    d, css = _d_selfnorm_rows(xmat, k_n)
+    return _mean_sq(d), np.all(css > 0.0, axis=1)
 
 
 def _tau_sq_stationary_rows(xmat: np.ndarray, k_n: int) -> np.ndarray:
     """Row-wise stationary tau^2 for a (B, n) matrix."""
-    b, n = xmat.shape
-    l_n = n // k_n
-    bm = xmat[:, : l_n * k_n].reshape(b, l_n, k_n).mean(axis=2)
-    d = np.sqrt(k_n) * (bm - xmat.mean(axis=1)[:, None])
-    return np.mean(d * d, axis=1)
+    return _mean_sq(_d_stationary_rows(xmat, k_n))
 
 
 def default_k_grid(n: int) -> list[int]:

@@ -160,6 +160,16 @@ class TestCiCommands:
         assert res["lower"] < res["point"] < res["upper"]
         assert 1.0 < res["point"] < 3.0
 
+    def test_ci_combo_takes_no_seed(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        p1 = write_csv(tmp_path / "a.csv", rng.normal(size=60))
+        p2 = write_csv(tmp_path / "b.csv", rng.normal(size=60))
+        argv = ["ci-combo", p1, p2, "--weights=-1,1", "--blocks", "6", "--seed", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestChangepointCommand:
     def test_k_schedule_and_labels(self, tmp_path, capsys):

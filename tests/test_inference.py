@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from snstat import inference
 from snstat.core import DegenerateDataError, InsufficientBlocksError
 from snstat.inference import (
     _multipliers,
@@ -155,6 +156,19 @@ class TestWildBootstrap:
     def test_degenerate_data_hits_redraw_cap(self):
         with pytest.raises(DegenerateDataError, match="redraw cap"):
             wild_bootstrap_mean(np.ones(12), 8, 3, seed=0)
+
+    def test_wb_ci_constant_series_fails_before_drawing(self, monkeypatch):
+        draws = []
+        multipliers = inference._multipliers
+
+        def counting(rng, law, size):
+            draws.append(size)
+            return multipliers(rng, law, size)
+
+        monkeypatch.setattr(inference, "_multipliers", counting)
+        with pytest.raises(DegenerateDataError):
+            wb_ci(np.ones(120), 0.05, 10, B=1000)
+        assert draws == []
 
     def test_gaussian_law_supported(self):
         boot = wild_bootstrap_mean(random_series(9, 48), 50, 6, law="gaussian", seed=4)
