@@ -41,4 +41,4 @@ from .changepoint import (
 )
 from .regression import TrendFit, fit_trend, regression_lrv, trend_ci
 from .simgen import ErrorModel, SigmaProfile, SimModel, gen_b1, gen_b2, generate, sigma_values
-from .harness import ExperimentResult, ExperimentSpec, run_coverage, run_power, run_size
+from .harness import ExperimentResult, ExperimentSpec, run_experiment

@@ -14,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDataError, _scan_rows, as_series, partition, segment_stats
-from .inference import BootstrapDistribution, _block_draw, _check_B, _resample, _wild_draw
+from .core import (
+    DegenerateDataError, _centered_sums, _scan_rows, as_series, partition, segment_stats
+)
+from .inference import (
+    BootstrapDistribution, _block_draw, _check_B, _check_law, _resample, _wild_draw
+)
 from .lrv import lrv_selfnorm, lrv_stationary, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
 from .rng import stream
 
@@ -76,8 +80,9 @@ def trimmed_range(n: int, c: float) -> tuple[int, int]:
 
 
 def _sx_rows(cs: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """S_X at the consecutive splits j of each row, from the row prefix sums cs."""
-    return cs[:, j[0] - 1 : j[-1]] - (j / cs.shape[1]) * cs[:, -1:]
+    """S_X at the consecutive splits j of each row, from the centered prefix sums cs."""
+    out = (j / cs.shape[1]) * cs[:, -1:]  # in place: a bootstrap batch is up to 16 MB
+    return np.subtract(cs[:, j[0] - 1 : j[-1]], out, out=out)
 
 
 def sx(x, j: int) -> float:
@@ -89,7 +94,7 @@ def sx(x, j: int) -> float:
     n = x.size
     if not 1 <= j <= n - 1:
         raise ValueError(f"split j={j} out of range 1..{n - 1}")
-    return float(_sx_rows(np.cumsum(x)[None], np.array([j]))[0, 0])
+    return float(_sx_rows(_centered_sums(x[None])[2], np.array([j]))[0, 0])
 
 
 def _splits(n: int, c: float) -> np.ndarray:
@@ -155,9 +160,10 @@ def _cusum_rows(xmat: np.ndarray, c: float, variant: str) -> np.ndarray:
     """|S_X(j)| at the trimmed splits of each row, over sqrt(j(1 - j/n)) for "t1"."""
     n = xmat.shape[1]
     j = _splits(n, c)
-    values = np.abs(_sx_rows(np.cumsum(xmat, axis=1), j))
+    values = _sx_rows(_centered_sums(xmat)[2], j)
+    np.abs(values, out=values)
     if variant == "t1":
-        values = values / np.sqrt(j * (1.0 - j / n))
+        values /= np.sqrt(j * (1.0 - j / n))
     return values
 
 
@@ -259,6 +265,7 @@ def sn_test(
     by i.i.d. signs/weights and re-runs the whole pipeline, including its
     own split estimate and tau.
     """
+    _check_law(law)
     statistic, scan, eps, tau = sn_statistic(x, c, k_n)
     draw = _wild_draw(stream(seed, "sn-test"), law, eps)
     out = _resample(B, eps.size, draw, lambda xi: _sn_stat_rows(xi, c, k_n))
@@ -349,6 +356,7 @@ def variance_change_test(
     transformed series is handed to the self-normalized mean test.
     """
     x = as_series(x)
+    _check_law(law)
     xt = (x - x.mean()) ** 2
     if segment_stats(xt, 1, xt.size).css == 0.0:
         raise DegenerateDataError("degenerate transform: squared series is constant")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -240,10 +241,8 @@ def cmd_changepoint(args):
         return cp._TESTS[args.test][0](x, args.c, k, args.bootstrap, args.seed)
 
     schedule = []
-    last = None
     for k in ks:
         rep = run_one(k)
-        last = rep
         entry = rep.to_dict()
         if labels is not None:
             entry["j_hat_label"] = labels[rep.j_hat - 1]
@@ -251,8 +250,8 @@ def cmd_changepoint(args):
     results = {
         "test": runner,
         "schedule": schedule,
-        "scan_j": last.scan.j_range,
-        "scan_values": last.scan.values,
+        "scan_j": rep.scan.j_range,
+        "scan_values": rep.scan.values,
     }
     _emit(args, _report(args, results, inputs), t0)
 
@@ -291,25 +290,30 @@ def _error_models_from(spec: str) -> tuple:
 
 def cmd_experiment(args):
     t0 = time.perf_counter()
-    cfg = {}
+    fields = dict(
+        kind=args.kind,
+        n=args.n,
+        sigma_profiles=args.profiles.split(","),
+        error_models=args.errors,
+        k_values=[int(k) for k in args.blocks.split(",")],
+        methods=args.methods.split(",") if args.methods else (),
+        replications=args.reps,
+        bootstrap_samples=args.boot,
+        level=args.level,
+        lambda_grid=[float(v) for v in args.lambdas.split(",")] if args.lambdas else (),
+        calibration_reps=args.calibration_reps,
+        master_seed=args.seed,
+    )
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    spec = ExperimentSpec(
-        kind=args.kind,
-        n=cfg.get("n", args.n),
-        sigma_profiles=tuple(cfg.get("sigma_profiles", args.profiles.split(","))),
-        error_models=_error_models_from(cfg.get("error_models", args.errors)),
-        k_values=tuple(cfg.get("k_values", [int(k) for k in args.blocks.split(",")])),
-        methods=tuple(cfg.get("methods", args.methods.split(",") if args.methods else ())),
-        replications=cfg.get("replications", args.reps),
-        bootstrap_samples=cfg.get("bootstrap_samples", args.boot),
-        level=cfg.get("level", args.level),
-        lambda_grid=tuple(cfg.get("lambda_grid", [float(v) for v in args.lambdas.split(",")] if args.lambdas else ())),
-        calibration_reps=cfg.get("calibration_reps", args.calibration_reps),
-        master_seed=cfg.get("master_seed", args.seed),
-    )
-    result = run_experiment(spec, workers=args.threads)
+            fields.update(json.load(fh))
+    unknown = set(fields) - {f.name for f in dataclasses.fields(ExperimentSpec)}
+    if unknown:
+        raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
+    fields["error_models"] = _error_models_from(fields["error_models"])
+    for key in ("sigma_profiles", "k_values", "methods", "lambda_grid"):
+        fields[key] = tuple(fields[key])
+    result = run_experiment(ExperimentSpec(**fields), workers=args.threads)
     if args.format == "table":
         text = result.to_table()
         if args.out:
@@ -320,10 +324,9 @@ def cmd_experiment(args):
         return
     rows = result.to_rows()
     if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        fieldnames = list(rows[0].keys())
         target = open(args.out, "w", newline="") if args.out else sys.stdout
         try:
-            w = csv.DictWriter(target, fieldnames=fieldnames)
+            w = csv.DictWriter(target, fieldnames=list(rows[0]))
             w.writeheader()
             w.writerows(rows)
         finally:
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--blocks", type=int, required=True)
     sp.add_argument("--bootstrap", type=int, default=1000)
-    sp.add_argument("--multiplier", choices=["rademacher", "gaussian"], default="rademacher")
+    sp.add_argument("--multiplier", choices=list(inference._LAWS), default="rademacher")
     sp.set_defaults(func=cmd_ci)
 
     sp = sub.add_parser("ci-combo", help="interval for a weighted combination of means")

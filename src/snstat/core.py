@@ -125,20 +125,25 @@ def _css(q, s, count):
     return np.maximum(q - s * s / count, 0.0)
 
 
+def _centered_sums(xmat: np.ndarray):
+    """(B, 1) row means of a (B, n) matrix, its rows centered by them, and their prefix sums."""
+    mean = xmat.mean(axis=1, keepdims=True)
+    xc = xmat - mean
+    return mean, xc, np.cumsum(xc, axis=1)
+
+
 def _scan_rows(xmat: np.ndarray):
     """Prefix/suffix sums and centered sums of squares for each row of a (B, n) matrix.
 
-    Rows are centered by their own means first, so the cumulative-moment
-    formula css = Q - S^2 / count stays well conditioned (css is shift
-    invariant). Returns (mean, xc, cs, rs, prefix_css, suffix_css): the
-    (B, 1) row means, the centered rows, and at column j - 1 the centered
-    sums of the prefix 1..j (cs) and the suffix j+1..n (rs) and their
-    css. Suffix css at j = n is NaN (empty segment).
+    Rows are centered by `_centered_sums` first, so neither S_X nor the
+    formula css = Q - S^2 / count loses digits to the row level (both are
+    shift invariant). Returns (mean, xc, cs, rs, prefix_css, suffix_css):
+    the (B, 1) row means, the centered rows, and at column j - 1 the
+    centered sums of the prefix 1..j (cs) and the suffix j+1..n (rs) and
+    their css. Suffix css at j = n is NaN (empty segment).
     """
     n = xmat.shape[1]
-    mean = xmat.mean(axis=1, keepdims=True)
-    xc = xmat - mean
-    cs = np.cumsum(xc, axis=1)
+    mean, xc, cs = _centered_sums(xmat)
     cq = np.cumsum(xc * xc, axis=1)
     j = np.arange(1, n + 1, dtype=float)
     rs = cs[:, -1:] - cs

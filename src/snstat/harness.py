@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in _CELL_RUNNERS:
+            raise ValueError(f"unknown experiment kind: {self.kind!r}")
         if self.replications < 1 or self.bootstrap_samples < 1:
             raise ValueError("replications and bootstrap_samples must be >= 1")
         if self.kind == "power":
@@ -70,29 +72,19 @@ class ExperimentSpec:
 class ExperimentResult:
     """Rates per cell with binomial Monte Carlo standard errors."""
 
-    kind: str
     cells: dict
     spec: ExperimentSpec
     wall_time: float = 0.0
-    master_seed: int = 0
 
     def rate(self, *key) -> float:
         return self.cells[key]["rate"]
 
     def to_rows(self) -> list[dict]:
-        rows = []
-        for key, cell in sorted(self.cells.items()):
-            row = {
-                "profile": key[0],
-                "error": key[1],
-                "k_n": key[2],
-                "method": key[3],
-            }
-            if len(key) > 4:
-                row["lambda"] = key[4]
-            row.update(rate=cell["rate"], se=cell["se"])
-            rows.append(row)
-        return rows
+        names = ("profile", "error", "k_n", "method", "lambda")  # lambda: power cells only
+        return [
+            dict(zip(names, key), rate=cell["rate"], se=cell["se"])
+            for key, cell in sorted(self.cells.items())
+        ]
 
     def to_table(self) -> str:
         """Pivoted text table, one line per (profile, error, k[, lambda])."""
@@ -101,7 +93,7 @@ class ExperimentResult:
         for key, cell in self.cells.items():
             groups.setdefault(key[:3] + key[4:], {})[key[3]] = cell["rate"]
         header = ["profile", "error", "k_n"]
-        if self.kind == "power":
+        if self.spec.kind == "power":
             header.append("lambda")
         lines = ["\t".join(header + list(methods))]
         for gk in sorted(groups):
@@ -115,86 +107,68 @@ def _binomial_cell(hits: int, total: int) -> dict:
     return {"rate": rate, "se": float(np.sqrt(rate * (1.0 - rate) / total))}
 
 
-def _null_model(spec: ExperimentSpec, profile: str, error: ErrorModel, seed: int):
-    return SimModel(
-        n=spec.n, sigma=SigmaProfile(profile, spec.n), error=error, seed=seed
-    )
+def _test_alpha(spec: ExperimentSpec) -> float:
+    """Significance level of a size or power run; level may be given either way round."""
+    return spec.level if spec.level < 0.5 else 1.0 - spec.level
 
 
-def _coverage_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):
+# kind -> hit(spec, x, k, method, boot_seed): whether one replicate counts
+_HITS = {
+    "coverage": lambda spec, x, k, m, seed: _INTERVALS[m](
+        x, 1.0 - spec.level, k, spec.bootstrap_samples, seed, "rademacher"
+    ).covers(0.0),
+    "size": lambda spec, x, k, m, seed: _test_alpha(spec) >= _TESTS[m][0](
+        x, spec.trim, k, spec.bootstrap_samples, seed
+    ).p_value,
+}
+
+
+def _replicates(spec, tag: str, profile: str, error: ErrorModel, k: int, count: int):
+    """Yield (seed, series) for replicates 0..count-1 of a cell's `tag` stream."""
+    sigma = SigmaProfile(profile, spec.n)
+    for r in range(count):
+        seed = derive_seed(spec.master_seed, tag, profile, error.label(), k, r)
+        yield seed, generate(SimModel(n=spec.n, sigma=sigma, error=error, seed=seed))
+
+
+def _rate_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):
+    """Coverage or size cell, on the stream tagged by its kind: the share of hits per method."""
     methods = spec.resolved_methods()
-    alpha = 1.0 - spec.level
-    B = spec.bootstrap_samples
     hits = {m: 0 for m in methods}
-    for r in range(spec.replications):
-        rep_seed = derive_seed(spec.master_seed, "coverage", profile, error.label(), k, r)
-        x = generate(_null_model(spec, profile, error, rep_seed))
+    for seed, x in _replicates(spec, spec.kind, profile, error, k, spec.replications):
         for m in methods:
-            boot_seed = derive_seed(rep_seed, "boot", m)
-            ci = _INTERVALS[m](x, alpha, k, B, boot_seed, "rademacher")
-            hits[m] += ci.covers(0.0)
+            hits[m] += _HITS[spec.kind](spec, x, k, m, derive_seed(seed, "boot", m))
     return {
         (profile, error.label(), k, m): _binomial_cell(hits[m], spec.replications)
         for m in methods
     }
-
-
-def _size_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):
-    methods = spec.resolved_methods()
-    alpha = spec.level if spec.level < 0.5 else 1.0 - spec.level
-    B = spec.bootstrap_samples
-    hits = {m: 0 for m in methods}
-    for r in range(spec.replications):
-        rep_seed = derive_seed(spec.master_seed, "size", profile, error.label(), k, r)
-        x = generate(_null_model(spec, profile, error, rep_seed))
-        for m in methods:
-            boot_seed = derive_seed(rep_seed, "boot", m)
-            rep = _TESTS[m][0](x, spec.trim, k, B, boot_seed)
-            hits[m] += rep.p_value <= alpha
-    return {
-        (profile, error.label(), k, m): _binomial_cell(hits[m], spec.replications)
-        for m in methods
-    }
-
-
-def _statistics(x, spec: ExperimentSpec, k: int, methods) -> dict:
-    return {m: _TESTS[m][1](x, spec.trim, k) for m in methods}
 
 
 def _power_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):
     methods = spec.resolved_methods()
-    alpha = spec.level if spec.level < 0.5 else 1.0 - spec.level
+    alpha = _test_alpha(spec)
 
     # Phase 1: critical values with exact empirical size, from null draws.
-    calib = {m: np.empty(spec.calibration_reps) for m in methods}
-    for r in range(spec.calibration_reps):
-        seed = derive_seed(spec.master_seed, "power-calib", profile, error.label(), k, r)
-        x = generate(_null_model(spec, profile, error, seed))
-        for m, v in _statistics(x, spec, k, methods).items():
-            calib[m][r] = v
-    crit = {m: float(np.quantile(calib[m], 1.0 - alpha)) for m in methods}
+    null = _replicates(spec, "power-calib", profile, error, k, spec.calibration_reps)
+    calib = np.array([[_TESTS[m][1](x, spec.trim, k) for m in methods] for _seed, x in null])
+    crit = {m: float(np.quantile(calib[:, i], 1.0 - alpha)) for i, m in enumerate(methods)}
 
     # Phase 2: rejection rates on a shared noise path per replicate, so
     # the only difference across lambda is the mean shift itself.
-    cells = {}
     hits = {(m, lam): 0 for m in methods for lam in spec.lambda_grid}
-    for r in range(spec.replications):
-        seed = derive_seed(spec.master_seed, "power", profile, error.label(), k, r)
-        base = generate(_null_model(spec, profile, error, seed))
+    for _seed, base in _replicates(spec, "power", profile, error, k, spec.replications):
         for lam in spec.lambda_grid:
             x = base.copy()
             x[spec.change_at :] += lam
-            for m, v in _statistics(x, spec, k, methods).items():
-                hits[(m, lam)] += v > crit[m]
-    for m in methods:
-        for lam in spec.lambda_grid:
-            cells[(profile, error.label(), k, m, lam)] = _binomial_cell(
-                hits[(m, lam)], spec.replications
-            )
-    return cells
+            for m in methods:
+                hits[(m, lam)] += _TESTS[m][1](x, spec.trim, k) > crit[m]
+    return {
+        (profile, error.label(), k, m, lam): _binomial_cell(h, spec.replications)
+        for (m, lam), h in hits.items()
+    }
 
 
-_CELL_RUNNERS = {"coverage": _coverage_cell, "size": _size_cell, "power": _power_cell}
+_CELL_RUNNERS = {"coverage": _rate_cell, "size": _rate_cell, "power": _power_cell}
 
 
 def _run_cell(args):
@@ -223,28 +197,4 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     else:
         for task in tasks:
             cells.update(_run_cell(task))
-    return ExperimentResult(
-        kind=spec.kind,
-        cells=cells,
-        spec=spec,
-        wall_time=time.perf_counter() - t0,
-        master_seed=spec.master_seed,
-    )
-
-
-def run_coverage(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    if spec.kind != "coverage":
-        raise ValueError("spec.kind must be 'coverage'")
-    return run_experiment(spec, workers)
-
-
-def run_size(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    if spec.kind != "size":
-        raise ValueError("spec.kind must be 'size'")
-    return run_experiment(spec, workers)
-
-
-def run_power(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    if spec.kind != "power":
-        raise ValueError("spec.kind must be 'power'")
-    return run_experiment(spec, workers)
+    return ExperimentResult(cells=cells, spec=spec, wall_time=time.perf_counter() - t0)

@@ -107,15 +107,22 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
+# law -> draw(rng, size): i.i.d. mean-zero, unit-variance wild-bootstrap multipliers
+_LAWS = {
+    "rademacher": lambda rng, size: rng.integers(0, 2, size=size) * 2.0 - 1.0,
+    "gaussian": lambda rng, size: rng.standard_normal(size),
+}
+
+
+def _check_law(law: str):
+    """The draw function of a multiplier law, in any letter case; ValueError if unknown."""
+    if law.lower() not in _LAWS:
+        raise ValueError(f"unknown multiplier law: {law!r}")
+    return _LAWS[law.lower()]
+
+
 def _multipliers(rng: np.random.Generator, law: str, size) -> np.ndarray:
-    law_l = law.lower()
-    if law_l == "rademacher":
-        return rng.integers(0, 2, size=size) * 2.0 - 1.0
-    if law_l == "gaussian":
-        return rng.standard_normal(size)
-    if law_l == "constant":  # alpha_i = +1; diagnostic only, not a valid law
-        return np.ones(size)
-    raise ValueError(f"unknown multiplier law: {law!r}")
+    return _check_law(law)(rng, size)
 
 
 def _wild_draw(rng: np.random.Generator, law: str, eps: np.ndarray):
@@ -206,6 +213,7 @@ def wild_bootstrap_mean(
     memory does not grow with B; the values do not depend on batch size.
     """
     x = as_series(x)
+    _check_law(law)
     n = partition(x.size, k_n).n  # validates feasibility up front
     eps = x - x.mean()
 
@@ -238,6 +246,7 @@ def wb_ci(
     """
     x = as_series(x)
     _check_alpha(alpha)
+    _check_law(law)
     n = x.size
     tau, vn = _tau_vn(x, k_n)
     boot = wild_bootstrap_mean(x, B, k_n, law=law, seed=seed)

@@ -15,7 +15,7 @@ from scipy.special import zeta
 
 from snstat.changepoint import sn_scan, sx
 from snstat.core import prefix_suffix_scan, segment_stats
-from snstat.harness import ExperimentSpec, run_coverage, run_power, run_size
+from snstat.harness import ExperimentSpec, run_experiment
 from snstat.inference import (
     block_bootstrap_mean,
     combo_ci,
@@ -172,7 +172,7 @@ def test_4_coverage_table():
             bootstrap_samples=500,
             master_seed=2026,
         )
-        res = run_coverage(spec)
+        res = run_experiment(spec)
         for m, target in tgt.items():
             got = 100 * res.rate(profile, error.label(), k, m)
             tol = 3.0 if m in ("sn", "wb") else 4.0
@@ -202,7 +202,7 @@ def test_5_size_table():
         level=0.05,
         master_seed=0,
     )
-    res = run_size(spec)
+    res = run_experiment(spec)
     g0 = {m: 100 * res.rate("A1", "b1:0", 10, m) for m in ("sn", "t1", "t2")}
     g8 = {m: 100 * res.rate("A1", "b1:0.8", 10, m) for m in ("sn", "t1", "t2")}
     checks = [
@@ -230,7 +230,7 @@ def test_6_size_adjusted_power():
         level=0.05,
         master_seed=2026,
     )
-    res = run_power(spec)
+    res = run_experiment(spec)
     curves = {
         m: np.array([res.rate("A1", "b1:0.4", 10, m, lam) for lam in grid])
         for m in ("sn", "t1", "t2")
@@ -322,7 +322,7 @@ def test_7_property_suite():
     checks.append(
         (
             "deterministic across worker counts",
-            run_coverage(spec, workers=1).cells == run_coverage(spec, workers=2).cells,
+            run_experiment(spec, workers=1).cells == run_experiment(spec, workers=2).cells,
         )
     )
     _verdict(7, "property suite", checks)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ class TestSx:
 
     def test_shift_invariance(self):
         assert sx(np.array([1.0, 2.0, 3.0, 4.0]) + 5.0, 2) == pytest.approx(-2.0)
+
+    def test_exact_at_large_mean(self):
+        # raw prefix sums of a series at mean 1e6 lost ~4e-8 of max |S_X|
+        x = np.random.default_rng(1).normal(size=1201) + 1e6
+        n = x.size
+        prefix = np.cumsum([Fraction(v) for v in x]).tolist()
+        exact = np.array(
+            [float(prefix[j - 1] - Fraction(j, n) * prefix[-1]) for j in range(1, n)]
+        )
+        scale = np.abs(exact).max()
+        got = np.array([sx(x, j) for j in range(1, n)])
+        assert np.abs(got - exact).max() / scale < 1e-12
+        scan = classical_scan(x, 0.1, 1.0, "t2")
+        assert np.abs(scan.values - np.abs(exact[scan.j_range - 1])).max() / scale < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -93,6 +93,15 @@ class TestExitCodes:
         assert main(["ci", path, "--blocks", "5", "--method", "sn"]) == 5
         assert "degenerate" in capsys.readouterr().err
 
+    def test_unknown_experiment_config_key_is_4(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replication": 3, "k_value": [8]}))
+        argv = ["experiment", "--kind", "coverage", "--methods", "sn", "--config", str(cfg)]
+        assert main(argv) == 4
+        assert "unknown experiment config keys: ['k_value', 'replication']" in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("method", ["sn", "wb", "st", "bb", "sbb"])
     def test_alpha_out_of_range_is_4(self, tmp_path, capsys, method):
         path = write_csv(tmp_path / "x.csv", np.random.default_rng(2).normal(size=60))

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snstat.harness import (
-    ExperimentSpec,
-    run_coverage,
-    run_experiment,
-    run_power,
-    run_size,
-)
+from snstat.harness import ExperimentSpec, run_experiment
 from snstat.simgen import ErrorModel
 
 
@@ -52,13 +46,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment(spec)
 
-    def test_kind_specific_runners_check_kind(self):
-        with pytest.raises(ValueError, match="coverage"):
-            run_coverage(ExperimentSpec(kind="size"))
-        with pytest.raises(ValueError, match="size"):
-            run_size(coverage_spec())
-        with pytest.raises(ValueError, match="power"):
-            run_power(coverage_spec())
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown experiment kind: 'bogus'"):
+            ExperimentSpec(kind="bogus")
 
     def test_methods_case_insensitive(self):
         spec = coverage_spec(methods=("SN", "St"))
@@ -74,13 +64,13 @@ class TestSpecValidation:
 
 class TestResults:
     def test_single_replicate_rate_and_se(self):
-        res = run_coverage(coverage_spec(replications=1))
+        res = run_experiment(coverage_spec(replications=1))
         for cell in res.cells.values():
             assert cell["rate"] in (0.0, 1.0)
             assert cell["se"] == 0.0
 
     def test_binomial_se_formula(self):
-        res = run_coverage(coverage_spec(replications=25))
+        res = run_experiment(coverage_spec(replications=25))
         for cell in res.cells.values():
             r = cell["rate"]
             assert 0.0 <= r <= 1.0
@@ -90,7 +80,7 @@ class TestResults:
         spec = coverage_spec(
             sigma_profiles=("A1", "A2"), k_values=(8, 10), replications=5
         )
-        res = run_coverage(spec)
+        res = run_experiment(spec)
         assert len(res.cells) == 2 * 2 * 2  # profiles x k x methods
         for profile in ("A1", "A2"):
             for k in (8, 10):
@@ -98,7 +88,7 @@ class TestResults:
                     assert (profile, "b1:0", k, m) in res.cells
 
     def test_rows_and_table_shapes(self):
-        res = run_coverage(coverage_spec(replications=5))
+        res = run_experiment(coverage_spec(replications=5))
         rows = res.to_rows()
         assert len(rows) == len(res.cells)
         assert {"profile", "error", "k_n", "method", "rate", "se"} <= set(rows[0])
@@ -115,17 +105,48 @@ class TestDeterminism:
             replications=10,
             bootstrap_samples=50,
         )
-        serial = run_coverage(spec, workers=1)
-        parallel = run_coverage(spec, workers=2)
+        serial = run_experiment(spec, workers=1)
+        parallel = run_experiment(spec, workers=2)
         assert serial.cells == parallel.cells
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExperimentSpec(
+                kind="size",
+                sigma_profiles=("A1", "A2"),
+                error_models=(ErrorModel("b1", theta=0.0), ErrorModel("b2", beta=4.0)),
+                replications=4,
+                bootstrap_samples=30,
+                level=0.05,
+                master_seed=8,
+            ),
+            ExperimentSpec(
+                kind="power",
+                sigma_profiles=("A1", "A3"),
+                k_values=(8, 10),
+                replications=4,
+                calibration_reps=20,
+                lambda_grid=(0.0, 1.0),
+                level=0.05,
+                master_seed=9,
+            ),
+        ],
+        ids=["size", "power"],
+    )
+    def test_worker_count_irrelevant_for_size_and_power(self, spec):
+        serial = run_experiment(spec, workers=1)
+        assert len(serial.cells) >= 2 * len(spec.resolved_methods())
+        for workers in (2, 3):
+            assert run_experiment(spec, workers=workers).cells == serial.cells
 
     def test_identical_reruns(self):
         spec = coverage_spec(methods=("sn", "bb", "sbb"), replications=10)
-        assert run_coverage(spec).cells == run_coverage(spec).cells
+        assert run_experiment(spec).cells == run_experiment(spec).cells
 
     def test_master_seed_changes_results(self):
-        a = run_coverage(coverage_spec(master_seed=1, replications=30))
-        b = run_coverage(coverage_spec(master_seed=2, replications=30))
+        a = run_experiment(coverage_spec(master_seed=1, replications=30))
+        b = run_experiment(coverage_spec(master_seed=2, replications=30))
         assert a.cells != b.cells
 
 
@@ -141,7 +162,7 @@ class TestPowerRuns:
             level=0.05,
             master_seed=3,
         )
-        res = run_power(spec)
+        res = run_experiment(spec)
         null_rate = res.rate("A1", "b1:0", 10, "sn", 0.0)
         se = math.sqrt(0.05 * 0.95 / 500)
         assert abs(null_rate - 0.05) <= 3 * se
@@ -156,7 +177,7 @@ class TestConvergence:
         def rates(reps, n_runs, offset):
             out = []
             for i in range(n_runs):
-                res = run_coverage(
+                res = run_experiment(
                     coverage_spec(
                         error_models=(ErrorModel("b1", theta=0.8),),
                         methods=("st",),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from snstat import inference
+from snstat.changepoint import sn_test, variance_change_test
 from snstat.core import DegenerateDataError, InsufficientBlocksError
 from snstat.inference import (
     _multipliers,
@@ -115,10 +116,35 @@ class TestComboCi:
 
 
 class TestWildBootstrap:
-    def test_constant_multiplier_law_collapses(self):
-        # alpha_i = +1 keeps xi = eps, so every replicate gives the same H
-        boot = wild_bootstrap_mean(random_series(4, 40), 16, 5, law="constant", seed=1)
-        assert np.ptp(boot.values) == 0.0
+    def test_constant_multiplier_law_rejected(self):
+        # alpha_i = +1 is not mean-zero: every replicate gives the same H,
+        # and wb_ci collapsed to a zero-width interval
+        x = random_series(4, 40)
+        with pytest.raises(ValueError, match="unknown multiplier law: 'constant'"):
+            wild_bootstrap_mean(x, 16, 5, law="constant", seed=1)
+        with pytest.raises(ValueError, match="unknown multiplier law: 'Constant'"):
+            wb_ci(x, 0.05, 5, B=16, law="Constant")
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda x, law: wild_bootstrap_mean(x, 16, 10, law=law),
+            lambda x, law: wb_ci(x, 0.05, 10, B=16, law=law),
+            lambda x, law: sn_test(x, 0.1, 10, B=16, law=law),
+            lambda x, law: variance_change_test(x, 0.1, 10, B=16, law=law),
+        ],
+        ids=["wild_bootstrap_mean", "wb_ci", "sn_test", "variance_change_test"],
+    )
+    def test_law_checked_before_any_estimate(self, run):
+        # a constant series would fail its first estimate with DegenerateDataError
+        with pytest.raises(ValueError, match="unknown multiplier law: 'bogus'"):
+            run(np.ones(120), "bogus")
+
+    def test_law_any_letter_case(self):
+        x = random_series(12, 48)
+        upper = wild_bootstrap_mean(x, 50, 6, law="GAUSSIAN", seed=4).values
+        lower = wild_bootstrap_mean(x, 50, 6, law="gaussian", seed=4).values
+        np.testing.assert_array_equal(upper, lower)
 
     def test_rademacher_sign_pattern_sums(self):
         # for eps = (-1, 1) the four patterns give sums {-2, 0, 0, 2}
