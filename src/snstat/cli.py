@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: simulate, lrv, select-k, ci, ci-combo, changepoint, trend,
-experiment. CSV in, JSON report out (CSV/table for experiment grids).
-Every subcommand that draws random numbers takes --seed and records it
-in the report.
+experiment. Each reads CSV and writes, to stdout or to the --out file, a
+JSON report whose keys are command, inputs, seed, version, elapsed_s and
+results, in that order. simulate --out writes the series as CSV instead,
+and experiment --format csv|table writes its grid as CSV or a pivoted table.
+Every subcommand that draws random numbers takes --seed and records it in
+the report.
 
 Exit codes: 0 success, 2 usage error, 3 input parse error, 4 infeasible
 parameters, 5 degenerate data.
@@ -15,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import time
@@ -81,8 +85,9 @@ def ingest_csv(path: str, column=None, no_header: bool = False, index_col=None):
     values = []
     labels = [] if idx_idx is not None else None
     for rownum, row in enumerate(data_rows, start=1):
-        if val_idx >= len(row):
-            raise CsvError(f"{path}: row {rownum} has no column {val_idx}")
+        bad = [c for c in (val_idx, idx_idx) if c is not None and not -len(row) <= c < len(row)]
+        if bad:
+            raise CsvError(f"{path}: row {rownum} has no column {bad[0]}")
         cell = row[val_idx].strip()
         try:
             values.append(float(cell))
@@ -98,31 +103,8 @@ def ingest_csv(path: str, column=None, no_header: bool = False, index_col=None):
 
 
 def _digest(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
-
-
-def _report(args, results: dict, inputs=None) -> dict:
-    return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
-        "inputs": inputs or {},
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "elapsed_s": None,  # filled by _emit
-        "results": results,
-    }
-
-
-def _emit(args, report: dict, t0: float) -> None:
-    report["elapsed_s"] = round(time.perf_counter() - t0, 3)
-    text = json.dumps(report, indent=2, default=_jsonable)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def _jsonable(obj):
@@ -133,60 +115,54 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
+def _write(out, text: str) -> None:
+    """Write text that ends in its own newline to the --out file, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", newline="") as fh:
+        fh.write(text)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _load_series(args):
-    values, labels = ingest_csv(
-        args.csv,
-        column=getattr(args, "col", None),
-        no_header=getattr(args, "no_header", False),
-        index_col=getattr(args, "index_col", None),
-    )
+    values, labels = ingest_csv(args.csv, args.col, args.no_header, args.index_col)
     return values, labels, {"path": args.csv, "sha256": _digest(args.csv), "n": len(values)}
 
 
-def _parse_error_model(args) -> ErrorModel:
-    return ErrorModel(
-        kind=args.error,
-        theta=args.theta,
-        beta=args.beta,
-        burn_in=args.burn_in,
-    )
+# Each cmd_* returns (results, inputs) for main to report, or writes its own
+# non-JSON output through _write and returns None.
 
 
 def cmd_simulate(args):
-    t0 = time.perf_counter()
     model = SimModel(
         n=args.n,
         sigma=SigmaProfile(args.profile, args.n, value=args.sigma_value),
-        error=_parse_error_model(args),
+        error=ErrorModel(args.error, theta=args.theta, beta=args.beta, burn_in=args.burn_in),
         seed=args.seed,
         mu=args.mu,
         lam=args.lam,
         change_at=args.change_at,
     )
     x = generate(model)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "value"])
-            for i, v in enumerate(x, start=1):
-                w.writerow([i, repr(float(v))])
-        print(f"wrote {x.size} rows to {args.out}")
-    else:
-        report = _report(args, {"model": model.to_config(), "values": x})
-        _emit(args, report, t0)
+    if not args.out:
+        return {"model": model.to_config(), "values": x}, {}
+    rows = [(i, repr(float(v))) for i, v in enumerate(x, start=1)]
+    _write(args.out, _csv_text([("index", "value")] + rows))
+    print(f"wrote {x.size} rows to {args.out}")
 
 
 def cmd_lrv(args):
-    t0 = time.perf_counter()
     x, _labels, inputs = _load_series(args)
-    if args.auto_k:
-        k, mse = select_block_length(len(x), seed=args.seed)
-    else:
-        if args.blocks is None:
-            raise ValueError("either --blocks or --auto-k is required")
-        k, mse = args.blocks, None
-    fn = lrv_stationary if args.stationary else lrv_selfnorm
-    est = fn(x, k)
+    if not args.auto_k and args.blocks is None:
+        raise ValueError("either --blocks or --auto-k is required")
+    k, mse = select_block_length(len(x), seed=args.seed) if args.auto_k else (args.blocks, None)
+    est = (lrv_stationary if args.stationary else lrv_selfnorm)(x, k)
     results = {
         "tau_sq_hat": est.tau_sq_hat,
         "k_n": est.k_n,
@@ -196,27 +172,23 @@ def cmd_lrv(args):
     }
     if mse is not None:
         results["mse_table"] = {str(kk): vv for kk, vv in mse.items()}
-    _emit(args, _report(args, results, inputs), t0)
+    return results, inputs
 
 
 def cmd_select_k(args):
-    t0 = time.perf_counter()
     k, mse = select_block_length(args.n, reps=args.reps, seed=args.seed)
-    results = {"k_star": k, "mse_table": {str(kk): vv for kk, vv in mse.items()}}
-    _emit(args, _report(args, results), t0)
+    return {"k_star": k, "mse_table": {str(kk): vv for kk, vv in mse.items()}}, {}
 
 
 def cmd_ci(args):
-    t0 = time.perf_counter()
     x, _labels, inputs = _load_series(args)
     ci = inference._INTERVALS[args.method](
         x, args.alpha, args.blocks, args.bootstrap, args.seed, args.multiplier
     )
-    _emit(args, _report(args, ci.to_dict(), inputs), t0)
+    return ci.to_dict(), inputs
 
 
 def cmd_ci_combo(args):
-    t0 = time.perf_counter()
     weights = [float(w) for w in args.weights.split(",")]
     segments, inputs = [], []
     for path in args.csvs:
@@ -224,20 +196,17 @@ def cmd_ci_combo(args):
         segments.append(values)
         inputs.append({"path": path, "sha256": _digest(path), "n": len(values)})
     ci = inference.combo_ci(segments, weights, args.alpha, args.blocks)
-    _emit(args, _report(args, ci.to_dict(), {"files": inputs}), t0)
+    return ci.to_dict(), {"files": inputs}
 
 
 def cmd_changepoint(args):
-    t0 = time.perf_counter()
     x, labels, inputs = _load_series(args)
     runner = "variance" if args.variance else args.test
     ks = [int(k) for k in args.k_schedule.split(",")] if args.k_schedule else [args.blocks]
 
     def run_one(k):
         if args.variance:
-            return cp.variance_change_test(
-                x, c=args.c, k_n=k, B=args.bootstrap, seed=args.seed
-            )
+            return cp.variance_change_test(x, args.c, k, args.bootstrap, seed=args.seed)
         return cp._TESTS[args.test][0](x, args.c, k, args.bootstrap, args.seed)
 
     schedule = []
@@ -247,21 +216,19 @@ def cmd_changepoint(args):
         if labels is not None:
             entry["j_hat_label"] = labels[rep.j_hat - 1]
         schedule.append(entry)
-    results = {
+    return {
         "test": runner,
         "schedule": schedule,
         "scan_j": rep.scan.j_range,
         "scan_values": rep.scan.values,
-    }
-    _emit(args, _report(args, results, inputs), t0)
+    }, inputs
 
 
 def cmd_trend(args):
-    t0 = time.perf_counter()
     x, _labels, inputs = _load_series(args)
     fit = fit_trend(x)
     est = regression_lrv(fit, args.blocks)
-    results = {
+    return {
         "beta0_hat": fit.beta0_hat,
         "beta1_hat": fit.beta1_hat,
         "tau_sq_hat": est.tau_sq_hat,
@@ -269,38 +236,32 @@ def cmd_trend(args):
         "ci_beta0": trend_ci(fit, "beta0", args.alpha, args.blocks).to_dict(),
         "ci_beta1": trend_ci(fit, "beta1", args.alpha, args.blocks).to_dict(),
         "residual_css": float(np.sum(fit.residuals**2)),
-    }
-    _emit(args, _report(args, results, inputs), t0)
+    }, inputs
 
 
-def _error_models_from(spec: str) -> tuple:
-    models = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if tok == "iid":
-            models.append(ErrorModel("iid"))
-        elif tok.startswith("b1:"):
-            models.append(ErrorModel("b1", theta=float(tok[3:])))
-        elif tok.startswith("b2:"):
-            models.append(ErrorModel("b2", beta=float(tok[3:])))
-        else:
-            raise ValueError(f"bad error model token: {tok!r}")
-    return tuple(models)
+# list field of ExperimentSpec -> parser of one item. A field comes as a comma
+# string or a JSON list; a string item is parsed, any other goes on as it is.
+_LIST_FIELDS = {
+    "sigma_profiles": str,
+    "error_models": ErrorModel.parse,
+    "k_values": int,
+    "methods": str,
+    "lambda_grid": float,
+}
 
 
 def cmd_experiment(args):
-    t0 = time.perf_counter()
     fields = dict(
         kind=args.kind,
         n=args.n,
-        sigma_profiles=args.profiles.split(","),
+        sigma_profiles=args.profiles,
         error_models=args.errors,
-        k_values=[int(k) for k in args.blocks.split(",")],
-        methods=args.methods.split(",") if args.methods else (),
+        k_values=args.blocks,
+        methods=args.methods or (),
         replications=args.reps,
         bootstrap_samples=args.boot,
         level=args.level,
-        lambda_grid=[float(v) for v in args.lambdas.split(",")] if args.lambdas else (),
+        lambda_grid=args.lambdas or (),
         calibration_reps=args.calibration_reps,
         master_seed=args.seed,
     )
@@ -310,31 +271,21 @@ def cmd_experiment(args):
     unknown = set(fields) - {f.name for f in dataclasses.fields(ExperimentSpec)}
     if unknown:
         raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-    fields["error_models"] = _error_models_from(fields["error_models"])
-    for key in ("sigma_profiles", "k_values", "methods", "lambda_grid"):
-        fields[key] = tuple(fields[key])
+    if fields["level"] is None:
+        fields["level"] = 0.95 if fields["kind"] == "coverage" else 0.05
+    for key, read in _LIST_FIELDS.items():
+        items = fields[key].split(",") if isinstance(fields[key], str) else fields[key]
+        if not isinstance(items, (list, tuple)):
+            raise ValueError(f"{key} must be a comma string or a list, got {items!r}")
+        fields[key] = tuple(read(v) if isinstance(v, str) else v for v in items)
     result = run_experiment(ExperimentSpec(**fields), workers=args.threads)
-    if args.format == "table":
-        text = result.to_table()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return
     rows = result.to_rows()
-    if args.format == "csv" or (args.out and args.out.endswith(".csv")):
-        target = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            w = csv.DictWriter(target, fieldnames=list(rows[0]))
-            w.writeheader()
-            w.writerows(rows)
-        finally:
-            if args.out:
-                target.close()
-        return
-    report = _report(args, {"cells": rows, "wall_time_s": result.wall_time})
-    _emit(args, report, t0)
+    if args.format == "table":
+        _write(args.out, result.to_table() + "\n")
+    elif args.format == "csv" or (args.out and args.out.endswith(".csv")):
+        _write(args.out, _csv_text([list(rows[0])] + [list(row.values()) for row in rows]))
+    else:
+        return {"cells": rows, "wall_time_s": result.wall_time}, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,12 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "level", None) is None and args.cmd == "experiment":
-        args.level = 0.95 if args.kind == "coverage" else 0.05
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        args.func(args)
+        done = args.func(args)
     except CsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -450,6 +400,17 @@ def main(argv=None) -> int:
     except (InsufficientBlocksError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    if done is not None:
+        results, inputs = done
+        report = {
+            "command": " ".join(argv),
+            "inputs": inputs,
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "elapsed_s": round(time.perf_counter() - t0, 3),
+            "results": results,
+        }
+        _write(args.out, json.dumps(report, indent=2, default=_jsonable) + "\n")
     return 0
 
 

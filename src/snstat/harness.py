@@ -8,6 +8,7 @@ same table.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -50,6 +51,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in _CELL_RUNNERS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
+        ints = "n replications bootstrap_samples calibration_reps change_at master_seed".split()
+        checks = [(f, getattr(self, f)) for f in ints] + [("k_values", k) for k in self.k_values]
+        for name, value in checks:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}: expected an integer, got {value!r}")
+        for name in ("sigma_profiles", "error_models", "k_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if self.replications < 1 or self.bootstrap_samples < 1:
             raise ValueError("replications and bootstrap_samples must be >= 1")
         if self.kind == "power":

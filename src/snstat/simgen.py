@@ -67,6 +67,15 @@ def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray
     return sig
 
 
+# kind -> (parameter its label carries, draw(model, n, seed)); the draws name
+# gen_b1 and gen_b2 at call time, so a wrapper installed on the module is seen
+_ERROR_KINDS = {
+    "b1": ("theta", lambda m, n, seed: gen_b1(n, m.theta, seed, burn_in=m.burn_in)),
+    "b2": ("beta", lambda m, n, seed: gen_b2(n, m.beta, seed)),
+    "iid": (None, lambda m, n, seed: np.random.default_rng(seed).standard_normal(n)),
+}
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Stationary unit-variance error process specification.
@@ -75,32 +84,36 @@ class ErrorModel:
     standardized by its analytic mean theta*sqrt(2/pi) and variance
     1 - 2*theta^2/pi. kind "b2": causal linear filter with weights
     a_j proportional to (j+1)^{-beta}, renormalized to unit variance.
-    kind "iid": standard Gaussians.
+    kind "iid": standard Gaussians. kind is matched in any letter case.
     """
 
     kind: str = "iid"
     theta: float = 0.0
     beta: float = 3.0
     burn_in: int = DEFAULT_BURN_IN
-    truncation: int | None = None
+
+    def __post_init__(self):
+        if self.kind.lower() not in _ERROR_KINDS:
+            raise ValueError(f"unknown error model kind: {self.kind!r}")
 
     def label(self) -> str:
-        k = self.kind.lower()
-        if k == "b1":
-            return f"b1:{self.theta:g}"
-        if k == "b2":
-            return f"b2:{self.beta:g}"
-        return "iid"
+        """The short name iid, b1:<theta> or b2:<beta>; parse() reads it back."""
+        kind = self.kind.lower()
+        param = _ERROR_KINDS[kind][0]
+        return f"{kind}:{getattr(self, param):g}" if param else kind
+
+    @classmethod
+    def parse(cls, label: str) -> ErrorModel:
+        """The model a label() names, e.g. "b1:0.4" -> ErrorModel("b1", theta=0.4)."""
+        token = label.strip()
+        kind, colon, value = token.partition(":")
+        if kind not in _ERROR_KINDS or bool(colon) != bool(_ERROR_KINDS[kind][0]):
+            raise ValueError(f"bad error model token: {token!r}")
+        param = _ERROR_KINDS[kind][0]
+        return cls(kind, **{param: float(value)}) if param else cls(kind)
 
     def generate(self, n: int, seed) -> np.ndarray:
-        k = self.kind.lower()
-        if k == "b1":
-            return gen_b1(n, self.theta, seed, burn_in=self.burn_in)
-        if k == "b2":
-            return gen_b2(n, self.beta, seed, truncation=self.truncation)
-        if k == "iid":
-            return np.random.default_rng(seed).standard_normal(n)
-        raise ValueError(f"unknown error model kind: {self.kind!r}")
+        return _ERROR_KINDS[self.kind.lower()][1](self, n, seed)
 
 
 def gen_b1(n: int, theta: float, seed, burn_in: int = DEFAULT_BURN_IN) -> np.ndarray:

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +79,21 @@ class TestIngestCsv:
         with pytest.raises(CsvError, match="cannot read"):
             ingest_csv("/nonexistent/file.csv")
 
+    @pytest.mark.parametrize(
+        "kw, bad",
+        [({"column": 5}, 5), ({"column": -5}, -5), ({"index_col": 2}, 2), ({"index_col": -3}, -3)],
+    )
+    def test_column_out_of_range(self, tmp_path, kw, bad):
+        path = write_csv(tmp_path / "two.csv", [1.0, 2.0], header=("d", "v"), extra_col=["a", "b"])
+        with pytest.raises(CsvError, match=f"row 1 has no column {bad}$"):
+            ingest_csv(path, **kw)
+
+    def test_negative_columns_in_range(self, tmp_path):
+        path = write_csv(tmp_path / "two.csv", [1.0, 2.0], header=("d", "v"), extra_col=["a", "b"])
+        values, labels = ingest_csv(path, column="-1", index_col=-2)
+        np.testing.assert_array_equal(values, [1.0, 2.0])
+        assert labels == ["a", "b"]
+
 
 class TestExitCodes:
     def test_parse_error_is_3(self, tmp_path, capsys):
@@ -101,6 +121,27 @@ class TestExitCodes:
         assert "unknown experiment config keys: ['k_value', 'replication']" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [({"replications": "3"}, "replications"), ({"k_values": [8.5]}, "k_values"),
+         ({"k_values": []}, "k_values"), ({"k_values": 8}, "k_values")],
+    )
+    def test_wrong_experiment_config_is_4(self, tmp_path, capsys, config, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["experiment", "--kind", "coverage", "--methods", "sn", "--config", str(cfg)]
+        assert main(argv + ["--format", "csv"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, col", [("--col", "-5"), ("--index-col", "5")])
+    def test_column_out_of_range_is_3(self, tmp_path, capsys, flag, col):
+        path = write_csv(tmp_path / "two.csv", np.arange(30.0), header=("i", "v"),
+                         extra_col=list(range(30)))
+        assert main(["lrv", path, "--blocks", "5", flag, col]) == 3
+        assert f"row 1 has no column {col}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["sn", "wb", "st", "bb", "sbb"])
     def test_alpha_out_of_range_is_4(self, tmp_path, capsys, method):
@@ -271,3 +312,131 @@ class TestExperimentCommand:
         cells = report["results"]["cells"]
         assert len(cells) == 1
         assert cells[0]["k_n"] == 8
+
+    def test_config_error_models_as_json_list(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"error_models": ["b1:0.4"], "replications": 1}))
+        report = run_json(
+            capsys,
+            ["experiment", "--kind", "coverage", "--methods", "sn", "--config", str(cfg)],
+        )
+        assert [c["error"] for c in report["results"]["cells"]] == ["b1:0.4"]
+
+    def test_config_list_fields_as_comma_strings(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"kind": "size", "methods": "sn,t1", "k_values": "8,10", "replications": 1})
+        )
+        report = run_json(
+            capsys,
+            ["experiment", "--kind", "coverage", "--config", str(cfg), "--boot", "10"],
+        )
+        cells = report["results"]["cells"]
+        grid = [(c["k_n"], c["method"]) for c in cells]
+        assert grid == [(8, "sn"), (8, "t1"), (10, "sn"), (10, "t1")]
+
+    @pytest.mark.parametrize("flag_kind", ["coverage", "size"])
+    def test_default_level_follows_config_kind(self, tmp_path, capsys, flag_kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "coverage", "replications": 20}))
+        argv = ["experiment", "--kind", flag_kind, "--methods", "sn", "--boot", "20",
+                "--config", str(cfg)]
+        # a 95% interval, not a 5% one, whichever --kind the command line gave
+        assert run_json(capsys, argv)["results"]["cells"][0]["rate"] > 0.5
+
+
+ENVELOPE = ["command", "inputs", "seed", "version", "elapsed_s", "results"]
+
+
+@pytest.fixture
+def series_csv(tmp_path):
+    return write_csv(tmp_path / "x.csv", np.random.default_rng(9).normal(size=120))
+
+
+def json_argv(sub, path):
+    """One small call of each subcommand that reports JSON."""
+    return {
+        "simulate": ["simulate", "--n", "12"],
+        "lrv": ["lrv", path, "--blocks", "10"],
+        "select-k": ["select-k", "--n", "60", "--reps", "20"],
+        "ci": ["ci", path, "--blocks", "10"],
+        "ci-combo": ["ci-combo", path, path, "--weights=-1,1", "--blocks", "10"],
+        "changepoint": ["changepoint", path, "--bootstrap", "20"],
+        "trend": ["trend", path, "--blocks", "10"],
+        "experiment": ["experiment", "--kind", "size", "--methods", "sn", "--reps", "2",
+                       "--boot", "10"],
+    }[sub]
+
+
+JSON_SUBCOMMANDS = ["simulate", "lrv", "select-k", "ci", "ci-combo", "changepoint", "trend",
+                    "experiment"]
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize("sub", JSON_SUBCOMMANDS)
+    def test_keys_in_order(self, capsys, series_csv, sub):
+        argv = json_argv(sub, series_csv)
+        report = run_json(capsys, argv)
+        assert list(report) == ENVELOPE
+        assert isinstance(report["elapsed_s"], float) and report["elapsed_s"] >= 0.0
+        assert report["command"] == " ".join(argv)
+
+    # simulate --out writes the series as CSV, not the report
+    @pytest.mark.parametrize("sub", [s for s in JSON_SUBCOMMANDS if s != "simulate"])
+    def test_out_file_matches_stdout(self, tmp_path, capsys, series_csv, sub):
+        argv = json_argv(sub, series_csv)
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+
+        def timeless(text):
+            # the command line differs by its --out, the timings by the clock
+            text = re.sub(r'"command": "[^"]*"', '"command": ""', text)
+            return re.sub(r'"(elapsed_s|wall_time_s)": [0-9.e-]+', r'"\1": 0', text)
+
+        assert timeless(out.read_text()) == timeless(stdout)
+        assert stdout.endswith("}\n")
+
+    def test_experiment_csv_stdout_matches_out_file(self, tmp_path, capsys):
+        argv = ["experiment", "--kind", "coverage", "--methods", "sn,st", "--reps", "3",
+                "--boot", "10", "--format", "csv"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "cells.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        with open(out, newline="") as fh:
+            assert fh.read() == stdout
+        assert len(list(csv.DictReader(stdout.splitlines()))) == 2
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class TestSubprocess:
+    """The exit status and streams a shell sees, which in-process calls cannot show."""
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run(
+            [sys.executable, "-m", "snstat.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    def test_one_json_document_on_stdout(self):
+        proc = self.run("select-k", "--n", "60", "--reps", "50")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)  # fails on any text around the document
+        assert list(report) == ENVELOPE
+        assert report["command"] == "select-k --n 60 --reps 50"
+        assert proc.stderr == ""
+
+    def test_parse_error_exit_without_traceback(self, tmp_path):
+        proc = self.run("lrv", str(tmp_path / "missing.csv"), "--blocks", "5")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot read")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

@@ -61,6 +61,36 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="infeasible"):
             run_experiment(coverage_spec(n=10, k_values=(8,)))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replications", "3"),
+            ("n", 60.0),
+            ("bootstrap_samples", True),
+            ("calibration_reps", "10"),
+            ("change_at", 40.5),
+            ("master_seed", None),
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer"):
+            coverage_spec(**{field: value})
+
+    @pytest.mark.parametrize("k", ["8", 8.5, 8.0, True])
+    def test_block_lengths_must_be_integers(self, k):
+        # 8.5 must not be truncated to 8, nor "8" read as 8
+        with pytest.raises(ValueError, match="^k_values: expected an integer"):
+            coverage_spec(k_values=(10, k))
+
+    def test_numpy_integers_accepted(self):
+        spec = coverage_spec(n=np.int64(120), k_values=(np.int32(10),))
+        assert spec.k_values == (10,)
+
+    @pytest.mark.parametrize("field", ["sigma_profiles", "error_models", "k_values"])
+    def test_empty_grid_axis_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must not be empty"):
+            coverage_spec(**{field: ()})
+
 
 class TestResults:
     def test_single_replicate_rate_and_se(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from snstat import simgen
 from snstat.simgen import (
     ErrorModel,
     SigmaProfile,
@@ -112,6 +113,58 @@ class TestB2:
         path_short = np.convolve(eps[j_big - (a_short.size - 1) :], a_short, mode="valid")
         assert np.max(np.abs(path_long - path_short)) < 1e-8
         assert e_default.shape == e_long.shape
+
+
+# The models of acceptance 4-6 and of the benchmark workloads, plus i.i.d.
+LABELLED_MODELS = [
+    ErrorModel("b1", theta=0.0),
+    ErrorModel("b1", theta=0.4),
+    ErrorModel("b1", theta=0.8),
+    ErrorModel("b2", beta=4.0),
+    ErrorModel("iid"),
+]
+
+
+class TestErrorModel:
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown error model kind: 'b3'"):
+            ErrorModel("b3")
+
+    @pytest.mark.parametrize("model", LABELLED_MODELS, ids=lambda m: m.label())
+    def test_parse_reads_back_label(self, model):
+        assert ErrorModel.parse(model.label()) == model
+
+    def test_labels(self):
+        labels = [m.label() for m in LABELLED_MODELS]
+        assert labels == ["b1:0", "b1:0.4", "b1:0.8", "b2:4", "iid"]
+        assert ErrorModel("B1", theta=0.4).label() == "b1:0.4"
+
+    @pytest.mark.parametrize("token", ["b9:1", "b1", "iid:3", "B1:0.4", ""])
+    def test_parse_rejects_bad_tokens(self, token):
+        with pytest.raises(ValueError, match="bad error model token"):
+            ErrorModel.parse(token)
+
+    def test_parse_strips_whitespace(self):
+        assert ErrorModel.parse(" b2:4 ") == ErrorModel("b2", beta=4.0)
+
+    @pytest.mark.parametrize("kind, name", [("b1", "gen_b1"), ("b2", "gen_b2")])
+    def test_generate_calls_module_level_generator(self, monkeypatch, kind, name):
+        # a wrapper installed on the module (as the benchmark tracer does) must see the call
+        calls = []
+        monkeypatch.setattr(simgen, name, lambda n, *a, **kw: calls.append(n) or np.zeros(n))
+        ErrorModel(kind, theta=0.4, beta=4.0).generate(7, seed=1)
+        assert calls == [7]
+
+    def test_generate_matches_generators(self):
+        np.testing.assert_array_equal(
+            ErrorModel("b1", theta=0.4, burn_in=50).generate(30, 3), gen_b1(30, 0.4, 3, 50)
+        )
+        np.testing.assert_array_equal(
+            ErrorModel("b2", beta=4.0).generate(30, 3), gen_b2(30, 4.0, 3)
+        )
+        np.testing.assert_array_equal(
+            ErrorModel("iid").generate(30, 3), np.random.default_rng(3).standard_normal(30)
+        )
 
 
 class TestGenerate:
