@@ -363,18 +363,19 @@ def variance_change_test(
     return sn_test(xt, c=c, k_n=k_n, B=B, law=law, seed=seed)
 
 
-# method -> (test(x, c, k_n, B, seed), statistic(x, c, k_n))
+# method -> (test(x, c, k_n, B, seed), statistic rows(xmat, c, k_n) -> (stats, ok));
+# the row kernels are named at call time, so a wrapper installed on the module is seen
 _TESTS = {
     "sn": (
         lambda x, c, k_n, B, seed: sn_test(x, c, k_n, B, seed=seed),
-        lambda x, c, k_n: sn_statistic(x, c, k_n)[0],
+        lambda xmat, c, k_n: _sn_stat_rows(xmat, c, k_n),
     ),
     "t1": (
         lambda x, c, k_n, B, seed: classical_test(x, c, k_n, B, "t1", seed),
-        lambda x, c, k_n: classical_statistic(x, c, k_n, "t1"),
+        lambda xmat, c, k_n: _classical_stat_rows(xmat, c, k_n, "t1"),
     ),
     "t2": (
         lambda x, c, k_n, B, seed: classical_test(x, c, k_n, B, "t2", seed),
-        lambda x, c, k_n: classical_statistic(x, c, k_n, "t2"),
+        lambda xmat, c, k_n: _classical_stat_rows(xmat, c, k_n, "t2"),
     ),
 }

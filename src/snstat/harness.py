@@ -1,9 +1,18 @@
 """Monte Carlo experiment engine: coverage, size and power tables.
 
 Cells (variance profile x error model x block length x method) are fully
-determined by the master seed: cell and replicate streams are derived by
-hashing coordinates, so any worker count or evaluation order yields the
-same table.
+determined by the master seed: each replicate's streams are derived by
+hashing its cell coordinates and its index r, so any worker count or
+grouping of replicates yields the same table.
+
+The pool's work unit is a (cell, replicate range) task, `_run_cell`.
+Coverage and size cells are cut into `workers` contiguous ranges, and the
+ranges' hit counts add up. A power cell runs in two phases, one range per
+cell in each: calibration gathers the null statistics in replicate order
+for the critical values, then every shift is tested on a shifted copy of
+the same noise. Both phases feed each range's (R, n) replicate matrix, in
+row chunks of bounded size, to the row kernels in `changepoint._TESTS`.
+A process pool starts only when a phase has more than one task.
 """
 
 from __future__ import annotations
@@ -11,17 +20,20 @@ from __future__ import annotations
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .changepoint import _TESTS
+from .core import DegenerateDataError, row_chunks
 from .inference import _INTERVALS
 from .rng import derive_seed
 from .simgen import ErrorModel, SigmaProfile, SimModel, generate
 
 COVERAGE_METHODS = tuple(_INTERVALS)
 TEST_METHODS = tuple(_TESTS)
+_PROFILES = ("A1", "A2", "A3", "A4", "constant")  # the sigma profiles a spec names, any case
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,7 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _CELL_RUNNERS:
+        if self.kind not in _FIRST_PHASE:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
         ints = "n replications bootstrap_samples calibration_reps change_at master_seed".split()
         checks = [(f, getattr(self, f)) for f in ints] + [("k_values", k) for k in self.k_values]
@@ -59,6 +71,18 @@ class ExperimentSpec:
         for name in ("sigma_profiles", "error_models", "k_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        names = {p.lower() for p in _PROFILES}
+        for profile in self.sigma_profiles:
+            if not (isinstance(profile, str) and profile.lower() in names):
+                raise ValueError(
+                    f"sigma_profiles: expected one of {', '.join(_PROFILES)}, got {profile!r}"
+                )
+        for error in self.error_models:
+            if not isinstance(error, ErrorModel):
+                raise ValueError(f"error_models: expected an ErrorModel, got {error!r}")
+        for k in self.k_values:
+            if self.n < 2 * k:
+                raise ValueError(f"infeasible cell: n={self.n} with block length k={k}")
         if self.replications < 1 or self.bootstrap_samples < 1:
             raise ValueError("replications and bootstrap_samples must be >= 1")
         if self.kind == "power":
@@ -132,78 +156,136 @@ _HITS = {
 }
 
 
-def _replicates(spec, tag: str, profile: str, error: ErrorModel, k: int, count: int):
-    """Yield (seed, series) for replicates 0..count-1 of a cell's `tag` stream."""
+def _replicates(spec, tag: str, profile: str, error: ErrorModel, k: int, r0: int, r1: int):
+    """Seeds and (R, n) matrix of replicates r0..r1-1 of a cell's `tag` stream."""
     sigma = SigmaProfile(profile, spec.n)
-    for r in range(count):
-        seed = derive_seed(spec.master_seed, tag, profile, error.label(), k, r)
-        yield seed, generate(SimModel(n=spec.n, sigma=sigma, error=error, seed=seed))
+    label = error.label()
+    seeds = [derive_seed(spec.master_seed, tag, profile, label, k, r) for r in range(r0, r1)]
+    xmat = np.empty((len(seeds), spec.n))
+    for row, seed in zip(xmat, seeds):
+        row[:] = generate(SimModel(n=spec.n, sigma=sigma, error=error, seed=seed))
+    return seeds, xmat
 
 
-def _rate_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):
-    """Coverage or size cell, on the stream tagged by its kind: the share of hits per method."""
+def _chunks(spec, tag: str, cell: tuple, r0: int, r1: int):
+    """`_replicates` of r0..r1-1 in row chunks of at most max(CHUNK_ELEMS, n) values."""
+    for rows in row_chunks(r1 - r0, spec.n):
+        yield _replicates(spec, tag, *cell, r0, r0 + rows)
+        r0 += rows
+
+
+def _stat_rows(spec, cell: tuple, m: str, xmat: np.ndarray) -> np.ndarray:
+    """Test statistic m of every row of xmat, by its row kernel; a degenerate row raises."""
+    stats, ok = _TESTS[m][1](xmat, spec.trim, cell[2])
+    if not ok.all():
+        profile, error, k = cell
+        raise DegenerateDataError(
+            f"degenerate replicate in cell ({profile}, {error.label()}, k={k}) for method {m}"
+        )
+    return stats
+
+
+def _rate_range(spec, cell: tuple, r0: int, r1: int, _crit) -> np.ndarray:
+    """Hit counts per method over replicates r0..r1-1 of a coverage or size cell."""
     methods = spec.resolved_methods()
-    hits = {m: 0 for m in methods}
-    for seed, x in _replicates(spec, spec.kind, profile, error, k, spec.replications):
-        for m in methods:
-            hits[m] += _HITS[spec.kind](spec, x, k, m, derive_seed(seed, "boot", m))
-    return {
-        (profile, error.label(), k, m): _binomial_cell(hits[m], spec.replications)
-        for m in methods
-    }
+    hits = np.zeros(len(methods), dtype=np.int64)
+    for seeds, xmat in _chunks(spec, spec.kind, cell, r0, r1):
+        for seed, x in zip(seeds, xmat):
+            for i, m in enumerate(methods):
+                hits[i] += _HITS[spec.kind](spec, x, cell[2], m, derive_seed(seed, "boot", m))
+    return hits
 
 
-def _power_cell(spec: ExperimentSpec, profile: str, error: ErrorModel, k: int):
+def _calib_range(spec, cell: tuple, r0: int, r1: int, _crit) -> np.ndarray:
+    """(R, methods) null statistics of a power cell's calibration replicates r0..r1-1."""
     methods = spec.resolved_methods()
-    alpha = _test_alpha(spec)
+    return np.concatenate([
+        np.column_stack([_stat_rows(spec, cell, m, xmat) for m in methods])
+        for _seeds, xmat in _chunks(spec, "power-calib", cell, r0, r1)
+    ])
 
-    # Phase 1: critical values with exact empirical size, from null draws.
-    null = _replicates(spec, "power-calib", profile, error, k, spec.calibration_reps)
-    calib = np.array([[_TESTS[m][1](x, spec.trim, k) for m in methods] for _seed, x in null])
-    crit = {m: float(np.quantile(calib[:, i], 1.0 - alpha)) for i, m in enumerate(methods)}
 
-    # Phase 2: rejection rates on a shared noise path per replicate, so
-    # the only difference across lambda is the mean shift itself.
-    hits = {(m, lam): 0 for m in methods for lam in spec.lambda_grid}
-    for _seed, base in _replicates(spec, "power", profile, error, k, spec.replications):
-        for lam in spec.lambda_grid:
+def _power_range(spec, cell: tuple, r0: int, r1: int, crit: list) -> np.ndarray:
+    """(methods, lambdas) rejection counts over replicates r0..r1-1 of a power cell.
+
+    Every lambda shifts a copy of the same noise matrix, so the only
+    difference across lambda is the mean shift itself.
+    """
+    methods = spec.resolved_methods()
+    hits = np.zeros((len(methods), len(spec.lambda_grid)), dtype=np.int64)
+    for _seeds, base in _chunks(spec, "power", cell, r0, r1):
+        for j, lam in enumerate(spec.lambda_grid):
             x = base.copy()
-            x[spec.change_at :] += lam
-            for m in methods:
-                hits[(m, lam)] += _TESTS[m][1](x, spec.trim, k) > crit[m]
+            x[:, spec.change_at :] += lam
+            for i, m in enumerate(methods):
+                hits[i, j] += np.count_nonzero(_stat_rows(spec, cell, m, x) > crit[i])
+    return hits
+
+
+_PHASES = {"rate": _rate_range, "calib": _calib_range, "power": _power_range}
+# kind -> its first phase; a power run follows calibration with the "power" phase
+_FIRST_PHASE = {"coverage": "rate", "size": "rate", "power": "calib"}
+
+
+def _run_cell(task):
+    """Run one (cell, replicate range) task of a phase: the pool's work unit."""
+    phase, spec, cell, r0, r1, crit = task
+    return _PHASES[phase](spec, cell, r0, r1, crit)
+
+
+def _split(count: int, parts: int) -> list:
+    """0..count-1 cut into at most `parts` contiguous, non-empty (r0, r1) ranges."""
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return [(r0, r1) for r0, r1 in zip(bounds, bounds[1:]) if r0 < r1]
+
+
+def _cells(spec: ExperimentSpec, cell: tuple, hits: np.ndarray) -> dict:
+    """The table entries of one cell from its (methods[, lambdas]) hit counts."""
+    profile, error, k = cell
+    keys = [(m,) for m in spec.resolved_methods()]
+    if spec.kind == "power":
+        keys = [key + (lam,) for key in keys for lam in spec.lambda_grid]
     return {
-        (profile, error.label(), k, m, lam): _binomial_cell(h, spec.replications)
-        for (m, lam), h in hits.items()
+        (profile, error.label(), k, *key): _binomial_cell(int(h), spec.replications)
+        for key, h in zip(keys, hits.ravel())
     }
-
-
-_CELL_RUNNERS = {"coverage": _rate_cell, "size": _rate_cell, "power": _power_cell}
-
-
-def _run_cell(args):
-    spec, profile, error, k = args
-    if spec.n < 2 * k:
-        raise ValueError(f"infeasible cell: n={spec.n} with block length k={k}")
-    return _CELL_RUNNERS[spec.kind](spec, profile, error, k)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Evaluate every cell of the spec; deterministic for any worker count."""
-    if spec.kind not in _CELL_RUNNERS:
+    if spec.kind not in _FIRST_PHASE:
         raise ValueError(f"unknown experiment kind: {spec.kind!r}")
     t0 = time.perf_counter()
-    tasks = [
-        (spec, profile, error, k)
+    # each cell once: the hit counts of its ranges are added up by cell
+    grid = list(dict.fromkeys(
+        (profile, error, k)
         for profile in spec.sigma_profiles
         for error in spec.error_models
         for k in spec.k_values
-    ]
-    cells: dict = {}
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_cell, tasks):
-                cells.update(part)
+    ))
+    if spec.kind == "power":
+        ranges = [(0, spec.calibration_reps)]
     else:
-        for task in tasks:
-            cells.update(_run_cell(task))
+        ranges = _split(spec.replications, max(workers, 1))
+    first = _FIRST_PHASE[spec.kind]
+    tasks = [(first, spec, cell, r0, r1, None) for cell in grid for r0, r1 in ranges]
+    parallel = workers > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        run = pool.map if parallel else map
+        parts = list(run(_run_cell, tasks))
+        if spec.kind == "power":
+            alpha = _test_alpha(spec)
+            crits = [
+                [float(np.quantile(calib[:, i], 1.0 - alpha)) for i in range(calib.shape[1])]
+                for calib in parts
+            ]
+            tasks = [("power", spec, cell, 0, spec.replications, crit)
+                     for cell, crit in zip(grid, crits)]
+            parts = list(run(_run_cell, tasks))
+    totals: dict = {}
+    for (_phase, _spec, cell, *_range), hits in zip(tasks, parts):
+        totals[cell] = totals.get(cell, 0) + hits
+    cells: dict = {}
+    for cell, hits in totals.items():
+        cells.update(_cells(spec, cell, hits))
     return ExperimentResult(cells=cells, spec=spec, wall_time=time.perf_counter() - t0)

@@ -7,6 +7,7 @@ or plain i.i.d. Gaussians) to produce X_i = mu_i + sigma_i * e_i.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -120,7 +121,11 @@ def gen_b1(n: int, theta: float, seed, burn_in: int = DEFAULT_BURN_IN) -> np.nda
     """Standardized absolute-value AR(1) errors, deterministic per seed.
 
     Starts the recursion at eta_0 = 0 and discards burn_in iterations; the
-    recursion forgets its initial condition geometrically.
+    recursion forgets its initial condition geometrically. The recursion
+    runs on Python floats through itertools.accumulate, the same IEEE
+    operations in the same order as an explicit loop, at about half its
+    cost per step; a memoryview hands the scaled innovations over one
+    float at a time, so no list of n Python floats is held.
     """
     if abs(theta) >= 1:
         raise ValueError(f"b1 requires |theta| < 1, got theta={theta}")
@@ -131,14 +136,13 @@ def gen_b1(n: int, theta: float, seed, burn_in: int = DEFAULT_BURN_IN) -> np.nda
     if theta == 0.0:
         return eps[burn_in:].copy()
     s = math.sqrt(1.0 - theta * theta)
-    eta = np.empty(burn_in + n)
-    prev = 0.0
-    for t in range(burn_in + n):
-        prev = theta * abs(prev) + s * eps[t]
-        eta[t] = prev
+    steps = itertools.accumulate(
+        memoryview(s * eps), lambda prev, e: theta * abs(prev) + e, initial=0.0
+    )
+    eta = np.fromiter(steps, float, burn_in + n + 1)[burn_in + 1 :]
     mean = theta * math.sqrt(2.0 / math.pi)
     var = 1.0 - 2.0 * theta * theta / math.pi
-    return (eta[burn_in:] - mean) / math.sqrt(var)
+    return (eta - mean) / math.sqrt(var)
 
 
 def b2_weights(beta: float, truncation: int | None = None) -> np.ndarray:

@@ -136,6 +136,15 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {field}")
         assert captured.out == ""
 
+    def test_error_model_that_is_not_a_label_is_4(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"error_models": [{"kind": "b1", "theta": 0.4}]}))
+        argv = ["experiment", "--kind", "coverage", "--methods", "sn", "--config", str(cfg)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: error_models: expected an ErrorModel")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag, col", [("--col", "-5"), ("--index-col", "5")])
     def test_column_out_of_range_is_3(self, tmp_path, capsys, flag, col):
         path = write_csv(tmp_path / "two.csv", np.arange(30.0), header=("i", "v"),

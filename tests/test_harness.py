@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from snstat import changepoint, core, harness
+from snstat.changepoint import classical_statistic, sn_statistic
+from snstat.core import DegenerateDataError
 from snstat.harness import ExperimentSpec, run_experiment
-from snstat.simgen import ErrorModel
+from snstat.rng import derive_seed
+from snstat.simgen import ErrorModel, SigmaProfile, SimModel, generate
 
 
 def coverage_spec(**kw):
@@ -91,6 +95,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} must not be empty"):
             coverage_spec(**{field: ()})
 
+    @pytest.mark.parametrize(
+        "item", [{"kind": "b1", "theta": 0.4}, "b1:0.4", ("b1", 0.4), None]
+    )
+    def test_error_model_items_must_be_error_models(self, item):
+        with pytest.raises(ValueError, match="^error_models: expected an ErrorModel"):
+            coverage_spec(error_models=(ErrorModel("iid"), item))
+
+    @pytest.mark.parametrize("profile", ["A5", "custom", "", 1, None, ("A1",)])
+    def test_sigma_profiles_must_be_known_names(self, profile):
+        with pytest.raises(ValueError, match="^sigma_profiles: expected one of"):
+            coverage_spec(sigma_profiles=("A1", profile))
+
+    def test_sigma_profiles_any_letter_case(self):
+        spec = coverage_spec(sigma_profiles=("a1", "A2", "a3", "A4", "Constant", "CONSTANT"))
+        assert len(spec.sigma_profiles) == 6
+
+    def test_infeasible_block_length_fails_at_construction(self):
+        with pytest.raises(ValueError, match="^infeasible cell: n=30 with block length k=16"):
+            coverage_spec(n=30, k_values=(10, 16))
+        assert coverage_spec(n=30, k_values=(15,)).k_values == (15,)
+
 
 class TestResults:
     def test_single_replicate_rate_and_se(self):
@@ -170,6 +195,43 @@ class TestDeterminism:
         for workers in (2, 3):
             assert run_experiment(spec, workers=workers).cells == serial.cells
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            coverage_spec(methods=("sn", "wb", "bb"), replications=7),
+            coverage_spec(replications=1),
+            ExperimentSpec(
+                kind="size",
+                error_models=(ErrorModel("b1", theta=0.4),),
+                replications=5,
+                bootstrap_samples=30,
+                level=0.05,
+                master_seed=4,
+            ),
+            ExperimentSpec(
+                kind="power",
+                error_models=(ErrorModel("b1", theta=0.4),),
+                replications=6,
+                calibration_reps=30,
+                lambda_grid=(0.0, 1.0, 2.0),
+                level=0.05,
+                master_seed=6,
+            ),
+        ],
+        ids=["coverage", "one-replicate", "size", "power"],
+    )
+    def test_one_cell_worker_count_irrelevant(self, spec):
+        # a one-cell spec is cut into replicate ranges, one per worker
+        serial = run_experiment(spec, workers=1)
+        for workers in (2, 3):
+            assert run_experiment(spec, workers=workers).cells == serial.cells
+
+    def test_repeated_grid_items_counted_once(self):
+        spec = coverage_spec(replications=4)
+        repeated = coverage_spec(replications=4, sigma_profiles=("A1", "A1"), k_values=(10, 10))
+        for workers in (1, 2):
+            assert run_experiment(repeated, workers=workers).cells == run_experiment(spec).cells
+
     def test_identical_reruns(self):
         spec = coverage_spec(methods=("sn", "bb", "sbb"), replications=10)
         assert run_experiment(spec).cells == run_experiment(spec).cells
@@ -221,3 +283,117 @@ class TestConvergence:
         small = rates(125, 24, 100).std(ddof=1)
         big = rates(500, 24, 500).std(ddof=1)
         assert 1.3 <= small / big <= 3.0
+
+
+def tiny_power_spec(**kw):
+    base = dict(
+        kind="power",
+        n=60,
+        sigma_profiles=("A1", "A3"),
+        error_models=(ErrorModel("b1", theta=0.4), ErrorModel("b2", beta=4.0)),
+        k_values=(6,),
+        replications=5,
+        calibration_reps=12,
+        lambda_grid=(0.0, 0.8, 1.6),
+        change_at=20,
+        level=0.1,
+        master_seed=13,
+    )
+    base.update(kw)
+    return ExperimentSpec(**base)
+
+
+class TestReplicateRanges:
+    def test_replicates_are_the_seeded_series(self):
+        spec = coverage_spec()
+        error = spec.error_models[0]
+        seeds, xmat = harness._replicates(spec, "coverage", "A1", error, 10, 3, 7)
+        assert xmat.shape == (4, spec.n)
+        for r, seed, row in zip(range(3, 7), seeds, xmat):
+            assert seed == derive_seed(spec.master_seed, "coverage", "A1", "b1:0", 10, r)
+            model = SimModel(n=spec.n, sigma=SigmaProfile("A1", spec.n), error=error, seed=seed)
+            np.testing.assert_array_equal(row, generate(model))
+
+    @pytest.mark.parametrize("count, parts", [(10, 3), (2, 3), (1, 3), (7, 1), (6, 6)])
+    def test_split_covers_every_replicate_once(self, count, parts):
+        ranges = harness._split(count, parts)
+        assert len(ranges) == min(count, parts)
+        assert [r for r0, r1 in ranges for r in range(r0, r1)] == list(range(count))
+
+    def test_power_cells_match_scalar_statistics(self):
+        # the loop the batched phases replace: one scalar statistic per
+        # replicate, method and shift
+        spec = tiny_power_spec()
+        alpha, methods = 0.1, spec.resolved_methods()
+
+        def stat(x, m, k):
+            if m == "sn":
+                return sn_statistic(x, spec.trim, k)[0]
+            return classical_statistic(x, spec.trim, k, m)
+
+        def series(tag, profile, error, k, r):
+            seed = derive_seed(spec.master_seed, tag, profile, error.label(), k, r)
+            model = SimModel(n=spec.n, sigma=SigmaProfile(profile, spec.n), error=error, seed=seed)
+            return generate(model)
+
+        expected = {}
+        for profile in spec.sigma_profiles:
+            for error in spec.error_models:
+                k = spec.k_values[0]
+                null = [series("power-calib", profile, error, k, r)
+                        for r in range(spec.calibration_reps)]
+                crit = {m: float(np.quantile([stat(x, m, k) for x in null], 1.0 - alpha))
+                        for m in methods}
+                for m in methods:
+                    for lam in spec.lambda_grid:
+                        hits = 0
+                        for r in range(spec.replications):
+                            x = series("power", profile, error, k, r).copy()
+                            x[spec.change_at:] += lam
+                            hits += stat(x, m, k) > crit[m]
+                        rate = hits / spec.replications
+                        expected[(profile, error.label(), k, m, lam)] = {
+                            "rate": rate,
+                            "se": float(np.sqrt(rate * (1.0 - rate) / spec.replications)),
+                        }
+        for workers in (1, 2):
+            assert run_experiment(spec, workers=workers).cells == expected
+
+    @pytest.mark.parametrize("chunk", ["n", "3n", "2^30"])
+    def test_power_cells_chunk_invariant(self, monkeypatch, chunk):
+        spec = tiny_power_spec(calibration_reps=25, replications=7)
+        reference = run_experiment(spec).cells
+        elems = {"n": spec.n, "3n": 3 * spec.n, "2^30": 2**30}[chunk]
+        monkeypatch.setattr(core, "CHUNK_ELEMS", elems)
+        assert run_experiment(spec).cells == reference
+
+    def test_chunks_bound_the_replicate_matrix(self, monkeypatch):
+        spec = tiny_power_spec()
+        monkeypatch.setattr(core, "CHUNK_ELEMS", 3 * spec.n)
+        cell = (spec.sigma_profiles[0], spec.error_models[0], spec.k_values[0])
+        rows = [xmat.shape[0] for _s, xmat in harness._chunks(spec, "power", cell, 2, 10)]
+        assert rows == [3, 3, 2]
+
+    @pytest.mark.parametrize("method", ["sn", "t1"])
+    def test_degenerate_row_raises(self, monkeypatch, method):
+        kernel = changepoint._TESTS[method][1]
+
+        def one_bad_row(xmat, c, k_n):
+            stats, ok = kernel(xmat, c, k_n)
+            ok[-1] = False
+            return stats, ok
+
+        test = changepoint._TESTS[method][0]
+        monkeypatch.setitem(changepoint._TESTS, method, (test, one_bad_row))
+        spec = tiny_power_spec(sigma_profiles=("A1",), error_models=(ErrorModel("iid"),),
+                               methods=(method,))
+        where = rf"cell \(A1, iid, k=6\) for method {method}"
+        with pytest.raises(DegenerateDataError, match=where):
+            run_experiment(spec)
+
+    def test_row_kernels_flag_a_constant_row(self):
+        xmat = np.vstack([np.random.default_rng(1).normal(size=60), np.ones(60)])
+        for method in ("sn", "t1", "t2"):
+            stats, ok = changepoint._TESTS[method][1](xmat, 0.1, 6)
+            assert ok.tolist() == [True, False]
+            assert np.isfinite(stats[0])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -70,6 +71,36 @@ class TestB1:
         e = gen_b1(10**6, 0.8, seed=9)
         r1 = np.corrcoef(e[:-1], e[1:])[0, 1]
         assert r1 > 0.3
+
+    @pytest.mark.parametrize("theta, burn_in, n", [(0.4, 1000, 120), (-0.7, 0, 1), (0.95, 3, 50)])
+    def test_matches_explicit_loop(self, theta, burn_in, n):
+        eps = np.random.default_rng(21).standard_normal(burn_in + n)
+        s = math.sqrt(1.0 - theta * theta)
+        eta, prev = np.empty(burn_in + n), 0.0
+        for t in range(burn_in + n):
+            prev = theta * abs(prev) + s * eps[t]
+            eta[t] = prev
+        mean, var = theta * math.sqrt(2.0 / math.pi), 1.0 - 2.0 * theta * theta / math.pi
+        expected = (eta[burn_in:] - mean) / math.sqrt(var)
+        np.testing.assert_array_equal(gen_b1(n, theta, seed=21, burn_in=burn_in), expected)
+
+    @pytest.mark.parametrize(
+        "n, theta, digest",
+        [
+            (120, 0.4, "06e1786a6a0c6d31"),
+            (120, 0.8, "994bd5928258d228"),
+            (120, -0.3, "4294703f950effd5"),
+            (2000, 0.4, "9a3a77af8a4e7e96"),
+            (2000, 0.8, "3fdd01434ca2b197"),
+            (2000, -0.3, "7f56af90b26dc338"),
+        ],
+    )
+    def test_output_bits_unchanged(self, n, theta, digest):
+        # SHA-256 prefixes of the bytes an explicit per-step loop produced;
+        # a faster recursion must reproduce every bit of every stream
+        e = gen_b1(n, theta, seed=11)
+        assert e.shape == (n,)
+        assert hashlib.sha256(e.tobytes()).hexdigest()[:16] == digest
 
 
 class TestB2:
