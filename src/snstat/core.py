@@ -169,8 +169,11 @@ def prefix_suffix_scan(x: np.ndarray) -> ScanStats:
 CHUNK_ELEMS = 2**21  # elements per (rows, n) float64 batch: 16 MB
 
 
-def row_chunks(rows: int, n: int):
-    """Yield row counts of in-order batches of at most max(CHUNK_ELEMS, n) values."""
-    step = max(1, CHUNK_ELEMS // n)
+def row_chunks(rows: int, n: int, elems: int | None = None):
+    """Yield row counts of in-order batches of at most max(elems, n) values.
+
+    elems defaults to CHUNK_ELEMS, read at call time.
+    """
+    step = max(1, (CHUNK_ELEMS if elems is None else elems) // n)
     for start in range(0, rows, step):
         yield min(step, rows - start)

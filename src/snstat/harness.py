@@ -85,7 +85,14 @@ class ExperimentSpec:
                 raise ValueError(f"infeasible cell: n={self.n} with block length k={k}")
         if self.replications < 1 or self.bootstrap_samples < 1:
             raise ValueError("replications and bootstrap_samples must be >= 1")
+        level = self.level
+        if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0 < level < 1:
+            raise ValueError(f"level: expected a number in (0, 1), got {level!r}")
         if self.kind == "power":
+            if not 1 <= self.change_at <= self.n - 1:
+                raise ValueError(
+                    f"change_at: expected 1..{self.n - 1} (1..n-1), got {self.change_at}"
+                )
             if not self.lambda_grid or 0.0 not in self.lambda_grid:
                 raise ValueError("power runs need a lambda grid including 0")
             if self.calibration_reps < 1:

@@ -9,13 +9,18 @@ empirical MSE of tau_hat on i.i.d. Gaussian data.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DegenerateDataError, as_series, partition, row_chunks
 from .rng import stream
+
+SELECT_BATCH_ELEMS = 2**16  # values per batch the block-length selector draws: 512 KB
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,15 @@ def select_block_length(
     For each candidate k: simulate `reps` series of n i.i.d. standard
     normals, estimate tau by the self-normalized block method, and
     average (tau_hat - 1)^2. Ties break toward the smaller k. Infeasible
-    candidates (fewer than two blocks) are skipped with a warning. Series
-    are drawn in `row_chunks` batches, so memory does not grow with reps.
+    candidates (fewer than two blocks) are skipped with a warning.
+
+    Each feasible k draws from its own stream, in batches of at most
+    SELECT_BATCH_ELEMS = 2**16 values (512 KB), on one thread per usable
+    CPU. The draws run in parallel, but only one batch at a time runs the
+    tau^2 kernel, so memory stays within threads x one batch plus one
+    kernel's temporaries, whatever reps is. Every k's batches are drawn
+    in stream order and k* is picked in sorted-k order, so the results
+    are the same for any CPU count.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -142,25 +154,41 @@ def select_block_length(
     if not k_grid:
         raise ValueError("empty block-length grid")
 
-    mse_table: dict[int, float] = {}
-    best_k, best_mse = None, np.inf
+    streams = {}
     for k in sorted(k_grid):
         if k < 1 or n // k < 2:
             warnings.warn(f"skipping infeasible block length k={k} for n={n}")
-            mse_table[k] = float("nan")
-            continue
-        rng = stream(seed, "select-k", n, k)
+        else:
+            streams[k] = stream(seed, "select-k", n, k)
+    if not streams:
+        raise ValueError(f"no feasible block length in grid for n={n}")
+    batches = list(row_chunks(reps, n, SELECT_BATCH_ELEMS))
+    # One kernel at a time: it bounds the temporaries, and snstat's calls stay on
+    # one thread at a time, as perfbench/tracer.py's single span stack needs.
+    kernel_lock = threading.Lock()
+
+    def mse_at(k):
+        rng = streams[k]
         kept = []
-        for rows in row_chunks(reps, n):
-            # z stays bound until the next draw: freeing it first ran 5-10% slower
+        for rows in batches:
             z = rng.standard_normal((rows, n))
-            tau_sq, ok = _tau_sq_selfnorm_rows(z, k)
+            with kernel_lock:
+                tau_sq, ok = _tau_sq_selfnorm_rows(z, k)
             kept.append(tau_sq[ok])
         tau = np.sqrt(np.concatenate(kept))
-        mse = float(np.mean((tau - 1.0) ** 2))
-        mse_table[k] = mse
+        return float(np.mean((tau - 1.0) ** 2))
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(cpus, len(streams))) as pool:
+        feasible = dict(zip(streams, pool.map(mse_at, streams)))
+
+    mse_table: dict[int, float] = {}
+    best_k, best_mse = None, np.inf
+    for k in sorted(k_grid):
+        mse_table[k] = mse = feasible.get(k, float("nan"))
         if mse < best_mse:
             best_k, best_mse = k, mse
-    if best_k is None:
-        raise ValueError(f"no feasible block length in grid for n={n}")
     return best_k, mse_table

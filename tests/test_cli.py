@@ -145,6 +145,14 @@ class TestExitCodes:
         assert captured.err.startswith("error: error_models: expected an ErrorModel")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kind", ["coverage", "size"])
+    def test_level_out_of_range_is_4(self, capsys, kind):
+        argv = ["experiment", "--kind", kind, "--level", "1.5"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: level: expected a number in (0, 1)")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag, col", [("--col", "-5"), ("--index-col", "5")])
     def test_column_out_of_range_is_3(self, tmp_path, capsys, flag, col):
         path = write_csv(tmp_path / "two.csv", np.arange(30.0), header=("i", "v"),

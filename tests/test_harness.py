@@ -111,6 +111,34 @@ class TestSpecValidation:
         spec = coverage_spec(sigma_profiles=("a1", "A2", "a3", "A4", "Constant", "CONSTANT"))
         assert len(spec.sigma_profiles) == 6
 
+    @pytest.mark.parametrize("kind", ["coverage", "size", "power"])
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.05, float("nan"), "0.05", True])
+    def test_level_must_be_in_unit_interval(self, kind, level):
+        # level=1.5 used to test at alpha = -0.5 and read 0.0 in every cell
+        with pytest.raises(ValueError, match="^level: expected a number in \\(0, 1\\)"):
+            ExperimentSpec(kind=kind, level=level, lambda_grid=(0.0, 1.0))
+
+    @pytest.mark.parametrize("level", [0.05, 0.5, 0.95, np.float64(0.9)])
+    def test_level_inside_unit_interval_accepted(self, level):
+        assert coverage_spec(level=level).level == level
+
+    @pytest.mark.parametrize("change_at", [0, -3, 120, 500])
+    def test_power_change_at_must_be_inside_series(self, change_at):
+        # change_at=500 at n=120 used to report the size as the power at every lambda
+        with pytest.raises(ValueError, match="^change_at: expected 1..119"):
+            ExperimentSpec(kind="power", n=120, lambda_grid=(0.0, 5.0), change_at=change_at)
+
+    def test_power_change_at_bounds_accepted(self):
+        for change_at in (1, 119):
+            spec = ExperimentSpec(kind="power", n=120, lambda_grid=(0.0,), change_at=change_at)
+            assert spec.change_at == change_at
+
+    @pytest.mark.parametrize("kind", ["coverage", "size"])
+    def test_other_kinds_ignore_change_at(self, kind):
+        # n = 30 with the default change_at = 40 builds: only power shifts the mean
+        spec = ExperimentSpec(kind=kind, n=30, k_values=(5,))
+        assert spec.change_at == 40 > spec.n
+
     def test_infeasible_block_length_fails_at_construction(self):
         with pytest.raises(ValueError, match="^infeasible cell: n=30 with block length k=16"):
             coverage_spec(n=30, k_values=(10, 16))

@@ -1,8 +1,14 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snstat import lrv
 from snstat.core import DegenerateDataError, InsufficientBlocksError
 from snstat.lrv import (
     default_k_grid,
@@ -10,6 +16,7 @@ from snstat.lrv import (
     lrv_stationary,
     select_block_length,
 )
+from snstat.rng import stream
 
 
 def random_series(seed, n=64):
@@ -123,3 +130,99 @@ class TestBlockLengthSelection:
         k, table = select_block_length(120, reps=500, seed=0)
         assert 9 <= k <= 15
         assert table[k] == min(v for v in table.values() if not np.isnan(v))
+
+
+def serial_select(n, k_grid, reps, seed):
+    """Reference selector: one whole draw per k, in sorted-k order on one thread."""
+    table, best_k, best_mse = {}, None, np.inf
+    for k in sorted(k_grid):
+        if n // k < 2:
+            table[k] = float("nan")
+            continue
+        z = stream(seed, "select-k", n, k).standard_normal((reps, n))
+        tau_sq, ok = lrv._tau_sq_selfnorm_rows(z, k)
+        table[k] = mse = float(np.mean((np.sqrt(tau_sq[ok]) - 1.0) ** 2))
+        if mse < best_mse:
+            best_k, best_mse = k, mse
+    return best_k, table
+
+
+# Odd n = 121 gives 541-row batches at the default budget, so 600 reps
+# end on a partial batch; k = 70 leaves one block and is infeasible.
+PARITY_CASES = [
+    (121, [4, 6, 10, 15, 70], 600, 2),
+    (121, [4, 6, 10], 1, 3),
+    (120, None, 100, 5),
+]
+
+
+def set_cpus(monkeypatch, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+class TestSelectorParity:
+    @pytest.mark.filterwarnings("ignore:skipping infeasible block length")
+    @pytest.mark.parametrize("budget", [None, 1, 120, 2**30], ids=["default", "1", "n-1", "2^30"])
+    @pytest.mark.parametrize("cpus", [None, 1, 3], ids=["host", "1cpu", "3cpu"])
+    def test_matches_serial_reference(self, monkeypatch, budget, cpus):
+        if budget is not None:
+            monkeypatch.setattr(lrv, "SELECT_BATCH_ELEMS", budget)
+        set_cpus(monkeypatch, cpus)
+        for n, grid, reps, seed in PARITY_CASES:
+            ref_k, ref_table = serial_select(n, grid or default_k_grid(n), reps, seed)
+            k, table = select_block_length(n, k_grid=grid, reps=reps, seed=seed)
+            assert k == ref_k
+            assert list(table) == list(ref_table)
+            for kk, mse in ref_table.items():
+                if np.isnan(mse):
+                    assert np.isnan(table[kk])
+                else:
+                    assert table[kk] == mse, (n, kk)
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (3, 3), (8, 4)])
+    def test_one_thread_per_cpu_capped_by_feasible_k(self, monkeypatch, cpus, threads):
+        set_cpus(monkeypatch, cpus)
+        pools = []
+        pool_cls = lrv.ThreadPoolExecutor
+
+        def spy(max_workers):
+            pools.append(max_workers)
+            return pool_cls(max_workers=max_workers)
+
+        monkeypatch.setattr(lrv, "ThreadPoolExecutor", spy)
+        select_block_length(60, k_grid=[4, 5, 6, 10], reps=20, seed=1)
+        assert pools == [threads]
+
+    def test_one_kernel_at_a_time_in_bounded_batches(self, monkeypatch):
+        expected = serial_select(121, [4, 6, 10], 50, 0)
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(lrv, "SELECT_BATCH_ELEMS", 1000)
+        kernel = lrv._tau_sq_selfnorm_rows
+        guard = threading.Lock()
+        active, peak, shapes = [0], [0], []
+
+        def counting(xmat, k_n):
+            with guard:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+                shapes.append(xmat.shape)
+            try:
+                time.sleep(0.001)  # lets another thread in, were the kernel not locked
+                return kernel(xmat, k_n)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(lrv, "_tau_sq_selfnorm_rows", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            got = select_block_length(121, k_grid=[4, 6, 10], reps=50, seed=0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak[0] == 1
+        assert got == expected
+        # 1000 // 121 = 8 rows per batch: six full batches and one of two rows
+        assert sorted(shapes) == sorted([(8, 121)] * 18 + [(2, 121)] * 3)
