@@ -17,9 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import operator
 import sys
 import time
 
@@ -46,16 +48,19 @@ class CsvError(ValueError):
 def ingest_csv(path: str, column=None, no_header: bool = False, index_col=None):
     """Read one numeric column (and an optional label column) from a CSV.
 
-    column / index_col may be names (header row) or 0-based positions.
-    Unparseable cells raise CsvError naming the data row number.
+    column / index_col may be names (header row) or 0-based positions. A
+    digit string that names a different header column is ambiguous and
+    raises CsvError. By default the value column is the only column, or
+    else the second, counted on the header when there is one. A missing
+    column or an unparseable cell raises CsvError naming the first bad
+    data row.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
     with fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+        rows = list(filter(None, csv.reader(fh)))  # empty rows are skipped
     if not rows:
         raise CsvError(f"{path}: empty file")
 
@@ -64,42 +69,54 @@ def ingest_csv(path: str, column=None, no_header: bool = False, index_col=None):
     if not data_rows:
         raise CsvError(f"{path}: no data rows")
 
-    def resolve(sel, default):
-        if sel is None:
-            return default
-        if isinstance(sel, int) or (isinstance(sel, str) and sel.lstrip("-").isdigit()):
-            return int(sel)
+    def resolve(sel):
+        if isinstance(sel, int):
+            return sel
+        if isinstance(sel, str) and sel.removeprefix("-").isdigit():
+            pos = int(sel)
+            if header is not None and sel in header:
+                named = header.index(sel)
+                if named != (pos if pos >= 0 else pos + len(header)):
+                    raise CsvError(
+                        f"column {sel!r} is ambiguous: header column {named} is named "
+                        f"{sel!r}, but as a position it is column {pos}"
+                    )
+            return pos
         if header is None:
             raise CsvError(f"column name {sel!r} given but file has no header")
         if sel not in header:
             raise CsvError(f"column {sel!r} not found in header {header}")
         return header.index(sel)
 
-    ncols = len(data_rows[0])
-    val_idx = resolve(column, None)
-    if val_idx is None:
-        # default: single column -> it; multiple columns -> the second
-        val_idx = 0 if ncols == 1 else 1
-    idx_idx = resolve(index_col, None)
+    # default: single column -> it; multiple columns -> the second
+    ncols = len(header if header is not None else data_rows[0])
+    val_idx = (0 if ncols == 1 else 1) if column is None else resolve(column)
+    idx_idx = None if index_col is None else resolve(index_col)
+    try:
+        values = np.fromiter(
+            map(float, map(operator.itemgetter(val_idx), data_rows)), float, len(data_rows)
+        )
+        labels = None if idx_idx is None else [r[idx_idx].strip() for r in data_rows]
+    except (IndexError, ValueError):
+        _locate_bad_row(path, data_rows, val_idx, idx_idx)
+        raise
+    return values, labels
 
-    values = []
-    labels = [] if idx_idx is not None else None
+
+def _locate_bad_row(path: str, data_rows, val_idx: int, idx_idx) -> None:
+    """Raise CsvError for the first data row with a missing column or a non-numeric value.
+
+    Each row's columns are checked before its value is parsed.
+    """
     for rownum, row in enumerate(data_rows, start=1):
         bad = [c for c in (val_idx, idx_idx) if c is not None and not -len(row) <= c < len(row)]
         if bad:
             raise CsvError(f"{path}: row {rownum} has no column {bad[0]}")
         cell = row[val_idx].strip()
         try:
-            values.append(float(cell))
+            float(cell)
         except ValueError as exc:
-            raise CsvError(
-                f"{path}: non-numeric value {cell!r} at row {rownum}"
-            ) from exc
-        if labels is not None:
-            labels.append(row[idx_idx].strip())
-    if not values:
-        raise CsvError(f"{path}: empty column")
-    return np.asarray(values), labels
+            raise CsvError(f"{path}: non-numeric value {cell!r} at row {rownum}") from exc
 
 
 def _digest(path: str) -> str:
@@ -385,9 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         done = args.func(args)

@@ -25,8 +25,10 @@ from .core import (
 from .lrv import (
     lrv_selfnorm,
     lrv_stationary,
+    _block_means,
+    _d_stationary,
+    _mean_sq,
     _tau_sq_selfnorm_rows,
-    _tau_sq_stationary_rows,
 )
 from .rng import stream
 
@@ -131,7 +133,11 @@ def _wild_draw(rng: np.random.Generator, law: str, eps: np.ndarray):
 
 
 def _block_draw(rng: np.random.Generator, x: np.ndarray, k_n: int):
-    """draw(rows) for `_resample`: rows of n // k_n blocks of x, with replacement."""
+    """draw(rows) for `_resample`: rows of n // k_n blocks of x, with replacement.
+
+    Only `changepoint.classical_test` draws whole series: its CUSUM needs
+    every split. `block_bootstrap_mean` gathers block means instead.
+    """
     l_n = x.size // k_n
     blocks = x[: l_n * k_n].reshape(l_n, k_n)
     return lambda rows: blocks[rng.integers(0, l_n, (rows, l_n))].reshape(rows, -1)
@@ -264,11 +270,15 @@ def block_bootstrap_mean(
     """Non-overlapping block bootstrap of sqrt(n')(Xbar_b - E*(Xbar_b)).
 
     Samples l_n blocks with replacement and pools them to n' = k_n * l_n
-    values. The studentized variant divides by the stationary block tau
-    estimate of the resampled series; its degenerate replicates are
-    redrawn under the same cap as the wild bootstrap. Rows are evaluated
-    in batches of at most max(core.CHUNK_ELEMS, n') values, so memory does
-    not grow with B; the values do not depend on batch size.
+    values. A resample is made of whole blocks, so each replicate only
+    gathers the means of its l_n chosen blocks: its mean is their mean,
+    and no resampled series is built. The studentized variant divides by
+    the stationary block tau estimate of the resample, taken from the
+    same block means. A replicate whose block means are all equal has
+    tau = 0 and is redrawn, under the same cap as the wild bootstrap.
+    Rows of l_n block means are evaluated in batches of at most
+    max(core.CHUNK_ELEMS, l_n) values, so memory does not grow with B;
+    the values do not depend on batch size.
     """
     x = as_series(x)
     if studentized:
@@ -281,17 +291,23 @@ def block_bootstrap_mean(
             )
     n_prime = l_n * k_n
     e_star = x[:n_prime].mean()
+    block_means = _block_means(x[None], k_n)[1][0]
+    rng = stream(seed, "bb", studentized)
 
-    def stat_rows(xb):
-        xi = math.sqrt(n_prime) * (xb.mean(axis=1) - e_star)
+    def draw(rows):
+        return block_means[rng.integers(0, l_n, (rows, l_n))]
+
+    def stat_rows(bm):
+        means = bm.mean(axis=1)
+        xi = math.sqrt(n_prime) * (means - e_star)
         if not studentized:
             return xi, np.ones(xi.size, dtype=bool)
-        tau_sq = _tau_sq_stationary_rows(xb, k_n)
+        tau_sq = _mean_sq(_d_stationary(bm, means, k_n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return xi / np.sqrt(tau_sq), tau_sq > 0.0
+            # equal block means make tau^2 = 0, however the row mean rounds
+            return xi / np.sqrt(tau_sq), np.any(bm != bm[:, :1], axis=1)
 
-    draw = _block_draw(stream(seed, "bb", studentized), x, k_n)
-    out = _resample(B, n_prime, draw, stat_rows)
+    out = _resample(B, l_n, draw, stat_rows)
     return BootstrapDistribution(values=out, B=B, seed=seed)
 
 
@@ -306,13 +322,15 @@ def bb_ci(
     """Block-bootstrap interval via quantile inversion of sqrt(n)(Xbar - mu).
 
     The studentized variant inverts the tau-scaled pivot, re-scaling by
-    the stationary block tau of the original series.
+    the stationary block tau of the original series. That tau needs two
+    blocks and is estimated first, so an infeasible k_n fails without
+    drawing.
     """
     x = as_series(x)
     _check_alpha(alpha)
     n = x.size
-    boot = block_bootstrap_mean(x, B, k_n, studentized=studentized, seed=seed)
     tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
+    boot = block_bootstrap_mean(x, B, k_n, studentized=studentized, seed=seed)
     q_lo, q_hi = np.quantile(boot.values, [alpha / 2, 1 - alpha / 2])
     xbar = float(x.mean())
     scale = (tau if studentized else 1.0) / math.sqrt(n)

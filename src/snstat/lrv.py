@@ -50,9 +50,14 @@ def _d_selfnorm_rows(xmat: np.ndarray, k_n: int):
         return k_n * (bm - xmat.mean(axis=1)[:, None]) / np.sqrt(css), css
 
 
+def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int) -> np.ndarray:
+    """Stationary D_j from (B, l_n) block means and the (B,) row means."""
+    return np.sqrt(k_n) * (bm - means[:, None])
+
+
 def _d_stationary_rows(xmat: np.ndarray, k_n: int) -> np.ndarray:
     """Stationary D_j of each row of a (B, n) matrix."""
-    return np.sqrt(k_n) * (_block_means(xmat, k_n)[1] - xmat.mean(axis=1)[:, None])
+    return _d_stationary(_block_means(xmat, k_n)[1], xmat.mean(axis=1), k_n)
 
 
 def _mean_sq(d: np.ndarray) -> np.ndarray:
@@ -116,7 +121,12 @@ def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
 
 
 def _tau_sq_stationary_rows(xmat: np.ndarray, k_n: int) -> np.ndarray:
-    """Row-wise stationary tau^2 for a (B, n) matrix."""
+    """Row-wise stationary tau^2 for a (B, n) matrix.
+
+    Runs both stages: block means, then `_d_stationary`. The studentized
+    block bootstrap, whose resamples are made of whole blocks, runs only
+    the second stage on the block means it gathers.
+    """
     return _mean_sq(_d_stationary_rows(xmat, k_n))
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from snstat import cli
 from snstat.cli import CsvError, ingest_csv, main
 from snstat.inference import sn_ci
 from snstat.lrv import lrv_selfnorm
@@ -93,6 +94,70 @@ class TestIngestCsv:
         values, labels = ingest_csv(path, column="-1", index_col=-2)
         np.testing.assert_array_equal(values, [1.0, 2.0])
         assert labels == ["a", "b"]
+
+
+    @pytest.mark.parametrize(
+        "kw, named, pos",
+        [({"column": "1"}, 2, 1), ({"column": "0"}, 1, 0), ({"index_col": "1"}, 2, 1)],
+    )
+    def test_digit_selector_naming_another_column_is_ambiguous(self, tmp_path, kw, named, pos):
+        path = tmp_path / "pandas.csv"  # the header DataFrame.to_csv writes
+        path.write_text(",0,1\n0,10,100\n1,11,101\n2,12,102\n")
+        sel = next(iter(kw.values()))
+        with pytest.raises(
+            CsvError,
+            match=f"column '{sel}' is ambiguous: header column {named} is named "
+            f"'{sel}', but as a position it is column {pos}$",
+        ):
+            ingest_csv(str(path), **kw)
+
+    def test_digit_selector_keeps_its_position_otherwise(self, tmp_path):
+        path = tmp_path / "pandas.csv"
+        path.write_text(",0,1\n0,10,100\n1,11,101\n2,12,102\n")
+        values, labels = ingest_csv(str(path), column="2", index_col="-3")
+        np.testing.assert_array_equal(values, [100.0, 101.0, 102.0])
+        assert labels == ["0", "1", "2"]
+        path = tmp_path / "digits.csv"  # names that are their own positions
+        path.write_text("0,1\n5,6\n7,8\n")
+        values, labels = ingest_csv(str(path), column="1", index_col="0")
+        np.testing.assert_array_equal(values, [6.0, 8.0])
+        assert labels == ["5", "7"]
+
+    def test_double_minus_selector_is_a_name(self, tmp_path):
+        path = write_csv(tmp_path / "two.csv", [1.0, 2.0], header=("d", "v"), extra_col=["a", "b"])
+        with pytest.raises(CsvError, match="column '--1' not found"):
+            ingest_csv(path, column="--1")
+
+    def test_ambiguous_selector_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "pandas.csv"
+        path.write_text(",0,1\n" + "".join(f"{i},{i},{i * i}\n" for i in range(40)))
+        assert main(["lrv", str(path), "--blocks", "5", "--col", "1"]) == 3
+        assert "ambiguous" in capsys.readouterr().err
+
+    def test_default_column_follows_header_width(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1\n3,4\n")
+        with pytest.raises(CsvError, match="row 1 has no column 1$"):
+            ingest_csv(str(path))
+        path.write_text("1\n3,4\n")  # no header: the first row's width decides
+        values, _ = ingest_csv(str(path), no_header=True)
+        np.testing.assert_array_equal(values, [1.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,2,3\n4,5\n7,x,9\n", "row 2 has no column 2$"),
+            ("1,2,3\n4,x,6\n7\n", "non-numeric value 'x' at row 2$"),
+            ("1,2,3\n4, x ,6\n", "non-numeric value 'x' at row 2$"),
+            ("1,2\n4,5,6\n", "row 1 has no column 2$"),
+        ],
+    )
+    def test_first_bad_row_is_named(self, tmp_path, body, message):
+        # row by row, and within a row the columns are checked before the value is parsed
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,c\n" + body)
+        with pytest.raises(CsvError, match=message):
+            ingest_csv(str(path), column=1, index_col=2)
 
 
 class TestExitCodes:
@@ -430,6 +495,52 @@ class TestReportEnvelope:
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; no flag leaks into the next call."""
+
+    @pytest.fixture
+    def csv_path(self, tmp_path):
+        model = SimModel(
+            n=240, sigma=SigmaProfile("A1", 240), error=ErrorModel("b1", theta=0.4), seed=1
+        )
+        return write_csv(tmp_path / "x.csv", generate(model))
+
+    def sequence(self, csv_path, out):
+        return [
+            ["changepoint", csv_path, "--variance", "--bootstrap", "60"],
+            ["changepoint", csv_path, "--bootstrap", "60"],
+            ["ci", csv_path, "--method", "wb", "--multiplier", "gaussian", "--blocks", "12",
+             "--bootstrap", "60"],
+            ["ci", csv_path, "--method", "wb", "--blocks", "12", "--bootstrap", "60"],
+            ["lrv", csv_path, "--auto-k"],
+            ["lrv", csv_path, "--blocks", "10"],
+            ["lrv", csv_path, "--blocks", "10", "--out", out],
+            ["lrv", csv_path, "--blocks", "10"],
+        ]
+
+    def reports(self, capsys, argvs):
+        found = []
+        for argv in argvs:
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            if "--out" in argv:
+                with open(argv[argv.index("--out") + 1]) as fh:
+                    text = fh.read()
+            report = json.loads(text)
+            found.append((report["results"], report["inputs"]))
+        return found
+
+    def test_calls_match_fresh_parsers(self, tmp_path, capsys, monkeypatch, csv_path):
+        argvs = self.sequence(csv_path, str(tmp_path / "r.json"))
+        shared = self.reports(capsys, argvs)
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == self.reports(capsys, argvs)
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestSubprocess:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snstat import inference
+from snstat import core, inference
 from snstat.changepoint import sn_test, variance_change_test
 from snstat.core import DegenerateDataError, InsufficientBlocksError
 from snstat.inference import (
@@ -17,6 +17,8 @@ from snstat.inference import (
     wb_ci,
     wild_bootstrap_mean,
 )
+from snstat.lrv import _block_means, _tau_sq_stationary_rows
+from snstat.rng import stream
 from snstat.simgen import ErrorModel, SigmaProfile, SimModel, generate
 
 
@@ -260,6 +262,80 @@ class TestBlockBootstrap:
             assert ci.lower <= ci.point <= ci.upper
         assert plain.method == "bb"
         assert stud.method == "sbb"
+
+    def test_bb_ci_single_block_fails_before_drawing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(inference, "stream", lambda *key: calls.append(key) or stream(*key))
+        for studentized in (False, True):
+            with pytest.raises(InsufficientBlocksError):
+                bb_ci(random_series(0, 15), 0.05, 10, B=1000, studentized=studentized)
+        assert calls == []
+
+    def test_repeated_block_is_redrawn(self):
+        # l_n = 4: one replicate in 64 repeats one block; its tau^2 is 0
+        # exactly, although the mean of 100 values need not round to the
+        # block mean.
+        for seed in range(8):
+            x = random_series(seed, 120) * np.linspace(1.0, 3.0, 120) + 5.0
+            boot = block_bootstrap_mean(x, 1000, 25, studentized=True, seed=0)
+            assert np.max(np.abs(boot.values)) < 1e3, seed
+
+
+def whole_series_block_bootstrap(x, B, k_n, studentized, seed):
+    """Reference: gather every resampled series, then its mean and `_tau_sq_stationary_rows`.
+
+    A resample whose block means are all equal is redrawn, as its tau^2
+    is 0 whatever the rounding of its mean.
+    """
+    l_n = x.size // k_n
+    n_prime = l_n * k_n
+    e_star = x[:n_prime].mean()
+
+    def stat_rows(xb):
+        xi = math.sqrt(n_prime) * (xb.mean(axis=1) - e_star)
+        if not studentized:
+            return xi, np.ones(xi.size, dtype=bool)
+        tau_sq = _tau_sq_stationary_rows(xb, k_n)
+        bm = _block_means(xb, k_n)[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return xi / np.sqrt(tau_sq), np.any(bm != bm[:, :1], axis=1)
+
+    draw = inference._block_draw(stream(seed, "bb", studentized), x, k_n)
+    return inference._resample(B, n_prime, draw, stat_rows)
+
+
+class TestBlockMeansMatchWholeSeries:
+    """The bootstrap on gathered block means equals the whole-series one.
+
+    Only rounding differs: a row mean is now a mean of block means. The
+    difference is taken relative to the largest replicate.
+    """
+
+    @pytest.mark.parametrize("chunk", [2**12, core.CHUNK_ELEMS])
+    @pytest.mark.parametrize("studentized", [False, True])
+    @pytest.mark.parametrize("k", [2, 10, 25])
+    @pytest.mark.parametrize("n", [5, 120, 1201, 10**4])
+    def test_values(self, monkeypatch, n, k, studentized, chunk):
+        monkeypatch.setattr(core, "CHUNK_ELEMS", chunk)
+        x = random_series(n, n) * np.linspace(1.0, 3.0, n) + 5.0
+        B = 300 if n < 10**4 else 100
+        if n // k < 2:
+            with pytest.raises(InsufficientBlocksError):
+                block_bootstrap_mean(x, B, k, studentized=studentized, seed=2)
+            return
+        expected = whole_series_block_bootstrap(x, B, k, studentized, 2)
+        got = block_bootstrap_mean(x, B, k, studentized=studentized, seed=2).values
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize(
+        "x, k", [(np.tile([1.0, 2.0, 3.0, 4.0], 30), 4), (np.tile([0.1, 0.7, 0.3], 40), 3)]
+    )
+    def test_equal_block_means_hit_redraw_cap(self, x, k):
+        with pytest.raises(DegenerateDataError, match="redraw cap"):
+            whole_series_block_bootstrap(x, 50, k, True, 0)
+        with pytest.raises(DegenerateDataError, match="redraw cap"):
+            block_bootstrap_mean(x, 50, k, studentized=True, seed=0)
 
 
 class TestStCi:
