@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegenerateDataError, _centered_sums, _scan_rows, as_series, partition, segment_stats
+    DegenerateDataError, _all_equal, _centered_sums, _scan_rows, as_series, partition
 )
 from .inference import (
     BootstrapDistribution, _block_draw, _check_B, _check_law, _resample, _wild_draw
@@ -283,10 +283,10 @@ def sn_test(
 
 
 def _classical_stat_rows(xmat: np.ndarray, c: float, k_n: int, variant: str):
-    """Classical CUSUM statistic row-wise, each row with its own tau."""
-    tau_sq = _tau_sq_stationary_rows(xmat, k_n)
+    """Classical CUSUM statistic row-wise, each row with its own tau and its ok flag."""
+    tau_sq, ok = _tau_sq_stationary_rows(xmat, k_n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _cusum_rows(xmat, c, variant).max(axis=1) / np.sqrt(tau_sq), tau_sq > 0.0
+        return _cusum_rows(xmat, c, variant).max(axis=1) / np.sqrt(tau_sq), ok
 
 
 def classical_test(
@@ -301,13 +301,14 @@ def classical_test(
 
     The series is centered at its global mean (null-imposed centering),
     block-resampled, and the statistic recomputed with each replicate's
-    own stationary tau estimate. A constant series reports statistic 0
-    and p-value 1 by convention.
+    own stationary tau estimate. A constant series, whatever its value,
+    reports statistic 0 and p-value 1 by convention.
     """
     x = as_series(x)
     _check_B(B)
+    _check_variant(variant)
     n = x.size
-    if segment_stats(x, 1, n).css == 0.0:
+    if _all_equal(x):
         j = _splits(n, c)
         scan = _scan(c, j, np.zeros(j.size), variant)
         return ChangePointReport(
@@ -358,7 +359,7 @@ def variance_change_test(
     x = as_series(x)
     _check_law(law)
     xt = (x - x.mean()) ** 2
-    if segment_stats(xt, 1, xt.size).css == 0.0:
+    if _all_equal(xt):
         raise DegenerateDataError("degenerate transform: squared series is constant")
     return sn_test(xt, c=c, k_n=k_n, B=B, law=law, seed=seed)
 

@@ -106,6 +106,11 @@ def segment_stats(x: np.ndarray, start: int, stop: int) -> SegmentStats:
     return SegmentStats(count=seg.size, mean=float(m), css=css)
 
 
+def _all_equal(a: np.ndarray) -> np.ndarray:
+    """True where every value along the last axis equals the first, compared with ==."""
+    return np.all(a == a[..., :1], axis=-1)
+
+
 @dataclass(frozen=True)
 class ScanStats:
     """Prefix and suffix segment statistics at every split point j = 1..n.

@@ -71,17 +71,20 @@ class ExperimentSpec:
         for name in ("sigma_profiles", "error_models", "k_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        names = {p.lower() for p in _PROFILES}
+        names = {p.lower(): p for p in _PROFILES}
         for profile in self.sigma_profiles:
             if not (isinstance(profile, str) and profile.lower() in names):
                 raise ValueError(
                     f"sigma_profiles: expected one of {', '.join(_PROFILES)}, got {profile!r}"
                 )
+        # one spelling per profile: it names the cell and seeds its streams
+        canonical = tuple(names[p.lower()] for p in self.sigma_profiles)
+        object.__setattr__(self, "sigma_profiles", canonical)
         for error in self.error_models:
             if not isinstance(error, ErrorModel):
                 raise ValueError(f"error_models: expected an ErrorModel, got {error!r}")
         for k in self.k_values:
-            if self.n < 2 * k:
+            if k < 1 or self.n < 2 * k:
                 raise ValueError(f"infeasible cell: n={self.n} with block length k={k}")
         if self.replications < 1 or self.bootstrap_samples < 1:
             raise ValueError("replications and bootstrap_samples must be >= 1")

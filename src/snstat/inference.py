@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 from .core import (
     DegenerateDataError,
-    InsufficientBlocksError,
+    _all_equal,
     as_series,
     partition,
     row_chunks,
@@ -146,10 +146,7 @@ def _block_draw(rng: np.random.Generator, x: np.ndarray, k_n: int):
 def _tau_vn(x: np.ndarray, k_n: int) -> tuple[float, float]:
     """Self-normalized tau_hat and V_n = sqrt(centered sum of squares) of x."""
     tau = math.sqrt(lrv_selfnorm(x, k_n).tau_sq_hat)
-    vn_sq = segment_stats(x, 1, x.size).css
-    if vn_sq == 0.0:
-        raise DegenerateDataError("degenerate series: zero sample variance")
-    return tau, math.sqrt(vn_sq)
+    return tau, math.sqrt(segment_stats(x, 1, x.size).css)
 
 
 def sn_ci(x, alpha: float, k_n: int) -> ConfidenceInterval:
@@ -192,8 +189,9 @@ def combo_ci(
             raise ValueError(
                 f"segment of length {s.size} too short for block length {k_n}"
             )
+        partition(s.size, k_n)  # rejects k_n < 1, also when tau_hat is given
         st = segment_stats(s, 1, s.size)
-        if st.css == 0.0:
+        if _all_equal(s) or st.css == 0.0:  # css underflows as in `lrv_selfnorm`
             raise DegenerateDataError("degenerate segment: zero sample variance")
         point += w * st.mean
         lam_sq += (w * w) / (s.size**2) * st.css
@@ -276,19 +274,13 @@ def block_bootstrap_mean(
     the stationary block tau estimate of the resample, taken from the
     same block means. A replicate whose block means are all equal has
     tau = 0 and is redrawn, under the same cap as the wild bootstrap.
+    Both variants need at least two blocks.
     Rows of l_n block means are evaluated in batches of at most
     max(core.CHUNK_ELEMS, l_n) values, so memory does not grow with B;
     the values do not depend on batch size.
     """
     x = as_series(x)
-    if studentized:
-        l_n = partition(x.size, k_n).l_n  # tau estimation needs >= 2 blocks
-    else:
-        l_n = x.size // k_n  # a single block is fine: every resample is x itself
-        if l_n < 1:
-            raise InsufficientBlocksError(
-                f"insufficient blocks: n={x.size}, k_n={k_n}"
-            )
+    l_n = partition(x.size, k_n).l_n
     n_prime = l_n * k_n
     e_star = x[:n_prime].mean()
     block_means = _block_means(x[None], k_n)[1][0]
@@ -305,7 +297,7 @@ def block_bootstrap_mean(
         tau_sq = _mean_sq(_d_stationary(bm, means, k_n))
         with np.errstate(divide="ignore", invalid="ignore"):
             # equal block means make tau^2 = 0, however the row mean rounds
-            return xi / np.sqrt(tau_sq), np.any(bm != bm[:, :1], axis=1)
+            return xi / np.sqrt(tau_sq), ~_all_equal(bm)
 
     out = _resample(B, l_n, draw, stat_rows)
     return BootstrapDistribution(values=out, B=B, seed=seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDataError, as_series, partition, row_chunks
+from .core import DegenerateDataError, _all_equal, as_series, partition, row_chunks
 from .rng import stream
 
 SELECT_BATCH_ELEMS = 2**16  # values per batch the block-length selector draws: 512 KB
@@ -55,11 +55,6 @@ def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int) -> np.ndarray:
     return np.sqrt(k_n) * (bm - means[:, None])
 
 
-def _d_stationary_rows(xmat: np.ndarray, k_n: int) -> np.ndarray:
-    """Stationary D_j of each row of a (B, n) matrix."""
-    return _d_stationary(_block_means(xmat, k_n)[1], xmat.mean(axis=1), k_n)
-
-
 def _mean_sq(d: np.ndarray) -> np.ndarray:
     """tau^2 of each row: the mean of its D_j^2."""
     return np.mean(d * d, axis=1)
@@ -76,8 +71,9 @@ def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
 
     D_j = k_n * (block mean - overall mean) / within-block sd, and
     tau^2_hat is the average of D_j^2. The overall mean includes any
-    remainder indices beyond the last full block. This is the B = 1 row
-    of `_tau_sq_selfnorm_rows`.
+    remainder indices beyond the last full block. In value this is the
+    B = 1 row of `_tau_sq_selfnorm_rows`; any block of equal values, not
+    only one whose rounded css is 0, raises DegenerateDataError.
 
     The estimator is biased at any fixed block length: on i.i.d.
     Gaussian data E[D_j^2] = k_n (1 - k_n/n) / (k_n - 3) exactly (1.131
@@ -89,7 +85,8 @@ def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
     x = as_series(x)
     part = partition(x.size, k_n)
     d, css = _d_selfnorm_rows(x[None], k_n)
-    degenerate = np.flatnonzero(css[0] == 0.0)
+    # css also underflows to 0 when every deviation is below about 1e-162
+    degenerate = np.flatnonzero(_all_equal(part.view(x)) | (css[0] == 0.0))
     if degenerate.size:
         raise DegenerateDataError(
             f"degenerate block {degenerate[0] + 1}: zero within-block variance"
@@ -106,7 +103,8 @@ def lrv_stationary(x, k_n: int) -> LongRunEstimate:
     """
     x = as_series(x)
     part = partition(x.size, k_n)
-    return _estimate(part, _d_stationary_rows(x[None], k_n), "stationary")
+    d = _d_stationary(_block_means(x[None], k_n)[1], x[None].mean(axis=1), k_n)
+    return _estimate(part, d, "stationary")
 
 
 def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
@@ -120,14 +118,16 @@ def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
     return _mean_sq(d), np.all(css > 0.0, axis=1)
 
 
-def _tau_sq_stationary_rows(xmat: np.ndarray, k_n: int) -> np.ndarray:
+def _tau_sq_stationary_rows(xmat: np.ndarray, k_n: int):
     """Row-wise stationary tau^2 for a (B, n) matrix.
 
-    Runs both stages: block means, then `_d_stationary`. The studentized
-    block bootstrap, whose resamples are made of whole blocks, runs only
-    the second stage on the block means it gathers.
+    Returns (tau_sq, ok): ok flags rows whose block means are not all
+    equal, as tau^2 is 0 on the others however their means round. The
+    studentized block bootstrap runs only `_d_stationary` on the block
+    means it gathers.
     """
-    return _mean_sq(_d_stationary_rows(xmat, k_n))
+    bm = _block_means(xmat, k_n)[1]
+    return _mean_sq(_d_stationary(bm, xmat.mean(axis=1), k_n)), ~_all_equal(bm)
 
 
 def default_k_grid(n: int) -> list[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DegenerateDataError, as_series, partition
-from .inference import ConfidenceInterval, normal_quantile
+from .inference import ConfidenceInterval, _check_alpha, normal_quantile
 from .lrv import LongRunEstimate
 
 EXACT_FIT_REL_TOL = 1e-12
@@ -99,8 +99,7 @@ def trend_ci(fit: TrendFit, which: str, alpha: float, k_n: int) -> ConfidenceInt
     """
     if which not in ("beta0", "beta1"):
         raise ValueError(f"which must be 'beta0' or 'beta1', got {which!r}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     n = fit.n
     _check_not_exact(fit)
     tau = math.sqrt(regression_lrv(fit, k_n).tau_sq_hat)

@@ -85,7 +85,7 @@ class ErrorModel:
     standardized by its analytic mean theta*sqrt(2/pi) and variance
     1 - 2*theta^2/pi. kind "b2": causal linear filter with weights
     a_j proportional to (j+1)^{-beta}, renormalized to unit variance.
-    kind "iid": standard Gaussians. kind is matched in any letter case.
+    kind "iid": standard Gaussians. kind is stored in lower case.
     """
 
     kind: str = "iid"
@@ -96,12 +96,12 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind.lower() not in _ERROR_KINDS:
             raise ValueError(f"unknown error model kind: {self.kind!r}")
+        object.__setattr__(self, "kind", self.kind.lower())
 
     def label(self) -> str:
         """The short name iid, b1:<theta> or b2:<beta>; parse() reads it back."""
-        kind = self.kind.lower()
-        param = _ERROR_KINDS[kind][0]
-        return f"{kind}:{getattr(self, param):g}" if param else kind
+        param = _ERROR_KINDS[self.kind][0]
+        return f"{self.kind}:{getattr(self, param):g}" if param else self.kind
 
     @classmethod
     def parse(cls, label: str) -> ErrorModel:
@@ -114,7 +114,7 @@ class ErrorModel:
         return cls(kind, **{param: float(value)}) if param else cls(kind)
 
     def generate(self, n: int, seed) -> np.ndarray:
-        return _ERROR_KINDS[self.kind.lower()][1](self, n, seed)
+        return _ERROR_KINDS[self.kind][1](self, n, seed)
 
 
 def gen_b1(n: int, theta: float, seed, burn_in: int = DEFAULT_BURN_IN) -> np.ndarray:

@@ -204,6 +204,10 @@ class TestClassicalTest:
         assert rep.statistic == 0.0
         assert rep.p_value == 1.0
 
+    def test_variant_checked_on_constant_series(self):
+        with pytest.raises(ValueError, match="variant must be 't1' or 't2'"):
+            classical_test(np.ones(120), variant="t3")
+
     def test_p_value_bounds_and_determinism(self):
         x = random_series(9, 120)
         a = classical_test(x, k_n=10, B=199, variant="t2", seed=4)

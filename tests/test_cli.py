@@ -178,6 +178,13 @@ class TestExitCodes:
         assert main(["ci", path, "--blocks", "5", "--method", "sn"]) == 5
         assert "degenerate" in capsys.readouterr().err
 
+    def test_constant_series_outcomes_do_not_depend_on_value(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "flat.csv", np.full(120, 0.3))
+        assert main(["ci", path, "--method", "sn", "--blocks", "10"]) == 5
+        assert "degenerate block 1" in capsys.readouterr().err
+        argv = ["changepoint", path, "--test", "t1", "--blocks", "10", "--bootstrap", "50"]
+        assert run_json(capsys, argv)["results"]["schedule"][0]["p_value"] == 1.0
+
     def test_unknown_experiment_config_key_is_4(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"replication": 3, "k_value": [8]}))
@@ -492,6 +499,13 @@ class TestReportEnvelope:
         with open(out, newline="") as fh:
             assert fh.read() == stdout
         assert len(list(csv.DictReader(stdout.splitlines()))) == 2
+
+    def test_experiment_profile_spellings_give_one_row(self, capsys):
+        argv = ["experiment", "--kind", "coverage", "--profiles", "a1,A1", "--methods", "sn",
+                "--reps", "2", "--boot", "10", "--format", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [row["profile"] for row in rows] == ["A1"]
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,0 +1,83 @@
+"""Constant data gets one outcome per entry point, whatever value it repeats.
+
+The mean of k copies of v need not round to v, so a rounded sum of
+squares is 0 for some values and about 1e-32 for others; the exact
+all-equal test does not depend on v.
+"""
+
+import numpy as np
+import pytest
+
+from snstat import core
+from snstat.changepoint import classical_test, variance_change_test
+from snstat.core import DegenerateDataError
+from snstat.inference import combo_ci, sn_ci, wb_ci
+from snstat.lrv import lrv_selfnorm
+
+VALUES = [0.1, 0.3, 1 / 3, 2 / 3, 0.01, 123.456, 0.5, 3.0]
+
+RAISING = {
+    "lrv_selfnorm": (lambda x: lrv_selfnorm(x, 10), "degenerate block 1"),
+    "sn_ci": (lambda x: sn_ci(x, 0.05, 10), "degenerate block 1"),
+    "wb_ci": (lambda x: wb_ci(x, 0.05, 10, B=50), "degenerate block 1"),
+    "combo_ci": (
+        lambda x: combo_ci([x[:60], x[60:]], [1.0, -1.0], 0.05, 10),
+        "degenerate segment",
+    ),
+    "variance_change_test": (
+        lambda x: variance_change_test(x, 0.1, 10, B=50),
+        "degenerate transform",
+    ),
+}
+
+
+@pytest.mark.parametrize("v", VALUES)
+@pytest.mark.parametrize("entry", sorted(RAISING))
+def test_constant_series_raises(entry, v):
+    call, message = RAISING[entry]
+    with pytest.raises(DegenerateDataError, match=message):
+        call(np.full(120, v))
+
+
+@pytest.mark.parametrize("v", VALUES)
+@pytest.mark.parametrize("variant", ["t1", "t2"])
+def test_classical_test_constant_convention(variant, v):
+    rep = classical_test(np.full(120, v), 0.1, 10, B=50, variant=variant)
+    assert (rep.statistic, rep.p_value, rep.test) == (0.0, 1.0, variant)
+
+
+def test_one_constant_block_raises():
+    x = np.random.default_rng(0).normal(size=30)
+    x[3:6] = 0.1  # block 2 at k = 3; its rounded css is not 0
+    with pytest.raises(DegenerateDataError, match="degenerate block 2"):
+        lrv_selfnorm(x, 3)
+
+
+def test_underflowing_css_raises():
+    # the values vary, but no deviation squares to a nonzero double
+    x = np.random.default_rng(0).normal(size=40) * 1e-170
+    with pytest.raises(DegenerateDataError, match="degenerate block 1"):
+        lrv_selfnorm(x, 10)
+    with pytest.raises(DegenerateDataError, match="degenerate segment"):
+        combo_ci([x], [1.0], 0.05, 10, tau_hat=1.0)
+
+
+def modulated(seed, n=120):
+    return np.random.default_rng(seed).normal(size=n) * np.linspace(1.0, 3.0, n) + 5.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_classical_bootstrap_redraws_repeated_blocks(seed):
+    # l_n = 4: about one resample in 64 repeats one block, so tau^2 = 0
+    rep = classical_test(modulated(seed), 0.1, 25, B=1000)
+    assert np.max(rep.bootstrap.values) < 1e6
+
+
+@pytest.mark.parametrize("variant", ["t1", "t2"])
+def test_classical_test_chunk_invariant(monkeypatch, variant):
+    x = modulated(0)
+    default = classical_test(x, 0.1, 25, B=1000, variant=variant)
+    monkeypatch.setattr(core, "CHUNK_ELEMS", 2**12)
+    small = classical_test(x, 0.1, 25, B=1000, variant=variant)
+    np.testing.assert_array_equal(small.bootstrap.values, default.bootstrap.values)
+    assert small.p_value == default.p_value

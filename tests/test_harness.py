@@ -109,7 +109,7 @@ class TestSpecValidation:
 
     def test_sigma_profiles_any_letter_case(self):
         spec = coverage_spec(sigma_profiles=("a1", "A2", "a3", "A4", "Constant", "CONSTANT"))
-        assert len(spec.sigma_profiles) == 6
+        assert spec.sigma_profiles == ("A1", "A2", "A3", "A4", "constant", "constant")
 
     @pytest.mark.parametrize("kind", ["coverage", "size", "power"])
     @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.05, float("nan"), "0.05", True])
@@ -143,6 +143,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="^infeasible cell: n=30 with block length k=16"):
             coverage_spec(n=30, k_values=(10, 16))
         assert coverage_spec(n=30, k_values=(15,)).k_values == (15,)
+        for k in (0, -5):
+            with pytest.raises(ValueError, match=f"^infeasible cell: n=30 with block length k={k}"):
+                coverage_spec(n=30, k_values=(k,))
 
 
 class TestResults:
@@ -259,6 +262,15 @@ class TestDeterminism:
         repeated = coverage_spec(replications=4, sigma_profiles=("A1", "A1"), k_values=(10, 10))
         for workers in (1, 2):
             assert run_experiment(repeated, workers=workers).cells == run_experiment(spec).cells
+
+    def test_spellings_name_one_cell(self):
+        spec = coverage_spec(replications=4)
+        respelled = coverage_spec(
+            replications=4,
+            sigma_profiles=("a1", "A1"),
+            error_models=(ErrorModel("B1", theta=0.0), ErrorModel("b1", theta=0.0)),
+        )
+        assert run_experiment(respelled).cells == run_experiment(spec).cells
 
     def test_identical_reruns(self):
         spec = coverage_spec(methods=("sn", "bb", "sbb"), replications=10)

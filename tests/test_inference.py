@@ -106,6 +106,10 @@ class TestComboCi:
         with pytest.raises(ValueError, match="too short"):
             combo_ci([random_series(0, 10)], [1.0], 0.05, 8)
 
+    def test_block_length_checked_with_tau_given(self):
+        with pytest.raises(InsufficientBlocksError, match="block length must be >= 1"):
+            combo_ci([random_series(0, 10)], [1.0], 0.05, 0, tau_hat=1.0)
+
     def test_degenerate_segment(self):
         with pytest.raises(DegenerateDataError):
             combo_ci([np.full(10, 3.0)], [1.0], 0.05, 2)
@@ -215,9 +219,9 @@ class TestWildBootstrap:
 
 
 class TestBlockBootstrap:
-    def test_single_block_gives_zero(self):
-        boot = block_bootstrap_mean(random_series(0, 5), 20, 5, seed=3)
-        np.testing.assert_array_equal(boot.values, 0.0)
+    def test_plain_needs_two_blocks(self):
+        with pytest.raises(InsufficientBlocksError):
+            block_bootstrap_mean(random_series(0, 5), 20, 5, seed=3)
 
     def test_enumeration_frequencies(self):
         # blocks [0,2] and [2,4]: Xbar_b in {1,2,2,3}, Xi = 2(Xbar_b - 2)
@@ -295,7 +299,7 @@ def whole_series_block_bootstrap(x, B, k_n, studentized, seed):
         xi = math.sqrt(n_prime) * (xb.mean(axis=1) - e_star)
         if not studentized:
             return xi, np.ones(xi.size, dtype=bool)
-        tau_sq = _tau_sq_stationary_rows(xb, k_n)
+        tau_sq = _tau_sq_stationary_rows(xb, k_n)[0]
         bm = _block_means(xb, k_n)[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             return xi / np.sqrt(tau_sq), np.any(bm != bm[:, :1], axis=1)

@@ -41,4 +41,5 @@ def test_statistic_equals_its_kernel_row(n, k, seed):
 
     tau_sq, ok = _tau_sq_selfnorm_rows(row, k)
     assert ok[0] and lrv_selfnorm(x, k).tau_sq_hat == tau_sq[0]
-    assert lrv_stationary(x, k).tau_sq_hat == _tau_sq_stationary_rows(row, k)[0]
+    tau_sq, ok = _tau_sq_stationary_rows(row, k)
+    assert ok[0] and lrv_stationary(x, k).tau_sq_hat == tau_sq[0]

@@ -120,8 +120,12 @@ class TestTrendCi:
         fit = fit_trend(random_series(0, 60))
         with pytest.raises(ValueError, match="which"):
             trend_ci(fit, "beta2", 0.05, 6)
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ValueError, match="alpha must be in"):
             trend_ci(fit, "beta1", 0.0, 6)
+
+    def test_alpha_one_gives_point_interval(self):
+        ci = trend_ci(fit_trend(random_series(2, 60)), "beta0", 1.0, 6)
+        assert ci.lower == ci.point == ci.upper
 
     def test_symmetric_and_centered(self):
         fit = fit_trend(random_series(1, 120))

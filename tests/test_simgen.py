@@ -170,6 +170,10 @@ class TestErrorModel:
         assert labels == ["b1:0", "b1:0.4", "b1:0.8", "b2:4", "iid"]
         assert ErrorModel("B1", theta=0.4).label() == "b1:0.4"
 
+    def test_kind_stored_in_lower_case(self):
+        assert ErrorModel("B1", theta=0.4) == ErrorModel("b1", theta=0.4)
+        assert ErrorModel("IID").kind == "iid"
+
     @pytest.mark.parametrize("token", ["b9:1", "b1", "iid:3", "B1:0.4", ""])
     def test_parse_rejects_bad_tokens(self, token):
         with pytest.raises(ValueError, match="bad error model token"):
