@@ -260,17 +260,15 @@ class TestDeterminism:
     def test_repeated_grid_items_counted_once(self):
         spec = coverage_spec(replications=4)
         repeated = coverage_spec(replications=4, sigma_profiles=("A1", "A1"), k_values=(10, 10))
-        for workers in (1, 2):
-            assert run_experiment(repeated, workers=workers).cells == run_experiment(spec).cells
-
-    def test_spellings_name_one_cell(self):
-        spec = coverage_spec(replications=4)
+        # other spellings of one profile or error model name the same cell
         respelled = coverage_spec(
             replications=4,
             sigma_profiles=("a1", "A1"),
             error_models=(ErrorModel("B1", theta=0.0), ErrorModel("b1", theta=0.0)),
         )
-        assert run_experiment(respelled).cells == run_experiment(spec).cells
+        for workers in (1, 2):
+            for grid in (repeated, respelled):
+                assert run_experiment(grid, workers=workers).cells == run_experiment(spec).cells
 
     def test_identical_reruns(self):
         spec = coverage_spec(methods=("sn", "bb", "sbb"), replications=10)
