@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegenerateDataError, _all_equal, _centered_sums, _scan_rows, as_series, partition
+    DegenerateDataError, _all_equal, _centered_sums, _scan_rows, as_series, partition, row_chunks
 )
 from .inference import (
     BootstrapDistribution, _block_draw, _check_B, _check_law, _resample, _wild_draw
@@ -120,30 +120,35 @@ def _sn_scan_rows(xmat: np.ndarray, c: float):
     """Self-normalized scan T(j) at the trimmed splits j of each row of a (B, n) matrix.
 
     T(j) divides S_X(j) by the pooled prefix/suffix standard deviation
-    sqrt((1-j/n)^2 V_under_j^2 + (j/n)^2 V_over_j^2). Returns
-    (t, pos, xc, cs, rs): pos flags splits with a positive denominator
-    (t is 0 where it is not finite), and xc, cs, rs are the centered rows
-    and their prefix and suffix sums from `core._scan_rows`.
+    sqrt((1-j/n)^2 V_under_j^2 + (j/n)^2 V_over_j^2). Only the trimmed
+    splits are scanned, and the arithmetic runs in the buffers
+    `core._scan_rows` returns. Returns (t, pos, xc, cs): pos flags splits
+    with a positive denominator (t is 0 where it is not finite), and xc
+    and cs are the centered rows and their prefix sums.
     """
     n = xmat.shape[1]
     j = _splits(n, c)
-    _mean, xc, cs, rs, pre_css, suf_css = _scan_rows(xmat)
-    sel = slice(j[0] - 1, j[-1])
-    denom_sq = (1.0 - j / n) ** 2 * pre_css[:, sel] + (j / n) ** 2 * suf_css[:, sel]
+    _mean, xc, cs, pre_css, suf_css = _scan_rows(xmat, j)
+    pre_css *= (1.0 - j / n) ** 2
+    suf_css *= (j / n) ** 2
+    denom_sq = np.add(pre_css, suf_css, out=pre_css)
+    pos = denom_sq > 0.0
+    t = _sx_rows(cs, j)  # S_X is shift invariant
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = _sx_rows(cs, j) / np.sqrt(denom_sq)  # S_X is shift invariant
-    return np.where(np.isfinite(t), t, 0.0), denom_sq > 0.0, xc, cs, rs
+        t /= np.sqrt(denom_sq, out=denom_sq)
+    t[~np.isfinite(t)] = 0.0
+    return t, pos, xc, cs
 
 
 def _sn_scan_row(x, c: float):
-    """The B = 1 row of `_sn_scan_rows` as a CusumScan, with its xc, cs and rs."""
+    """The B = 1 row of `_sn_scan_rows` as a CusumScan, with its xc and cs."""
     x = as_series(x)
-    t, pos, xc, cs, rs = _sn_scan_rows(x[None], c)
+    t, pos, xc, cs = _sn_scan_rows(x[None], c)
     j = _splits(x.size, c)
     if not pos.all():
         bad = int(j[np.argmin(pos[0])])
         raise DegenerateDataError(f"degenerate scan at j={bad}: zero denominator")
-    return _scan(c, j, t[0], "sn"), xc, cs, rs
+    return _scan(c, j, t[0], "sn"), xc, cs
 
 
 def sn_scan(x, c: float = 0.1) -> CusumScan:
@@ -191,14 +196,32 @@ def _finite_p_value(boot: np.ndarray, observed: float) -> float:
     return (1.0 + float(np.sum(boot >= observed))) / (boot.size + 1.0)
 
 
-def _split_residual_rows(xc, cs, rs, j_hat: np.ndarray) -> np.ndarray:
+def _split_residual_rows(xc, cs, j_hat: np.ndarray) -> np.ndarray:
     """Each centered row minus its own mean before, and after, its split j_hat."""
     b, n = xc.shape
     rows = np.arange(b)
-    pre_mean = cs[rows, j_hat - 1] / j_hat
-    suf_mean = rs[rows, j_hat - 1] / (n - j_hat)
+    pre_sum = cs[rows, j_hat - 1]
+    pre_mean = pre_sum / j_hat
+    suf_mean = (cs[rows, -1] - pre_sum) / (n - j_hat)
     before = np.arange(n)[None, :] < j_hat[:, None]
-    return xc - np.where(before, pre_mean[:, None], suf_mean[:, None])
+    eps = np.where(before, pre_mean[:, None], suf_mean[:, None])
+    return np.subtract(xc, eps, out=eps)
+
+
+SN_SLICE_ELEMS = 2**14  # values per row slice of `_sn_stat_rows`: 128 KB per temporary
+
+
+def _sn_stat_slice(xmat: np.ndarray, c: float, k_n: int):
+    """`_sn_stat_rows` on one row slice, whose temporaries stay in cache."""
+    t, pos, xc, cs = _sn_scan_rows(xmat, c)
+    np.abs(t, out=t)
+    i_hat = np.argmax(t, axis=1)
+    max_t = t[np.arange(t.shape[0]), i_hat]
+    eps = _split_residual_rows(xc, cs, _splits(xmat.shape[1], c)[i_hat])
+    tau_sq, ok = _tau_sq_selfnorm_rows(eps, k_n)
+    ok &= np.all(pos, axis=1) & (tau_sq > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return max_t / np.sqrt(tau_sq), ok
 
 
 def _sn_stat_rows(xmat: np.ndarray, c: float, k_n: int):
@@ -207,16 +230,18 @@ def _sn_stat_rows(xmat: np.ndarray, c: float, k_n: int):
     For each row: scan, locate the argmax split, center the two segments
     by their own means, estimate tau on the pooled residuals, and scale
     the max scan value. Returns (stats, ok) with ok flagging rows free of
-    degeneracies.
+    degeneracies. The rows run in slices of at most SN_SLICE_ELEMS values
+    (one row if a row is longer), so the temporaries stay bounded and in
+    cache whatever B is; each row's values do not depend on the slicing.
     """
-    t, pos, xc, cs, rs = _sn_scan_rows(xmat, c)
-    i_hat = np.argmax(np.abs(t), axis=1)
-    max_t = np.abs(t[np.arange(t.shape[0]), i_hat])
-    eps = _split_residual_rows(xc, cs, rs, _splits(xmat.shape[1], c)[i_hat])
-    tau_sq, ok = _tau_sq_selfnorm_rows(eps, k_n)
-    ok &= np.all(pos, axis=1) & (tau_sq > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return max_t / np.sqrt(tau_sq), ok
+    b, n = xmat.shape
+    stats, ok = np.empty(b), np.empty(b, dtype=bool)
+    start = 0
+    for rows in row_chunks(b, n, SN_SLICE_ELEMS):
+        part = slice(start, start + rows)
+        stats[part], ok[part] = _sn_stat_slice(xmat[part], c, k_n)
+        start += rows
+    return stats, ok
 
 
 def sn_statistic(x, c: float = 0.1, k_n: int = 10):
@@ -227,8 +252,8 @@ def sn_statistic(x, c: float = 0.1, k_n: int = 10):
     own mean, estimate tau on the pooled residuals, scale the max scan
     value. Returns (statistic, scan, residuals, tau_hat).
     """
-    scan, xc, cs, rs = _sn_scan_row(x, c)
-    eps = _split_residual_rows(xc, cs, rs, np.array([scan.j_hat]))[0]
+    scan, xc, cs = _sn_scan_row(x, c)
+    eps = _split_residual_rows(xc, cs, np.array([scan.j_hat]))[0]
     tau = math.sqrt(lrv_selfnorm(eps, k_n).tau_sq_hat)
     if tau == 0.0:
         raise DegenerateDataError("degenerate residuals: zero tau estimate")

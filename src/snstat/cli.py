@@ -152,7 +152,9 @@ def _load_series(args):
     return values, labels, {"path": args.csv, "sha256": _digest(args.csv), "n": len(values)}
 
 
-# Each cmd_* returns (results, inputs) for main to report, or writes its own
+# main runs the subcommand's cmd_* (dashes become underscores), looked up by
+# name on each call, as the cached parser outlives any later rebinding. Each
+# cmd_* returns (results, inputs) for main to report, or writes its own
 # non-JSON output through _write and returns None.
 
 
@@ -331,20 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lam", type=float, default=0.0)
     sp.add_argument("--change-at", type=int, default=0)
     add_io(sp, csv_in=False)
-    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("lrv", help="long-run variance estimate")
     add_io(sp)
     sp.add_argument("--blocks", type=int, default=None, help="block length k_n")
     sp.add_argument("--auto-k", action="store_true", help="select k_n by simulation")
     sp.add_argument("--stationary", action="store_true", help="non-normalized variant")
-    sp.set_defaults(func=cmd_lrv)
 
     sp = sub.add_parser("select-k", help="simulation-based block length selection")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--reps", type=int, default=2000)
     add_io(sp, csv_in=False)
-    sp.set_defaults(func=cmd_select_k)
 
     sp = sub.add_parser("ci", help="confidence interval for the mean")
     add_io(sp)
@@ -353,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--blocks", type=int, required=True)
     sp.add_argument("--bootstrap", type=int, default=1000)
     sp.add_argument("--multiplier", choices=list(inference._LAWS), default="rademacher")
-    sp.set_defaults(func=cmd_ci)
 
     sp = sub.add_parser("ci-combo", help="interval for a weighted combination of means")
     sp.add_argument("csvs", nargs="+", help="one CSV per period")
@@ -363,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--blocks", type=int, required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_ci_combo)
 
     sp = sub.add_parser("changepoint", help="change-point test")
     add_io(sp)
@@ -373,13 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bootstrap", type=int, default=1000)
     sp.add_argument("--variance", action="store_true", help="test the variances instead")
     sp.add_argument("--k-schedule", default=None, help="comma-separated k_n values")
-    sp.set_defaults(func=cmd_changepoint)
 
     sp = sub.add_parser("trend", help="linear trend fit and intervals")
     add_io(sp)
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--blocks", type=int, required=True)
-    sp.set_defaults(func=cmd_trend)
 
     sp = sub.add_parser("experiment", help="Monte Carlo table reproduction")
     sp.add_argument("--kind", choices=["coverage", "size", "power"], required=True)
@@ -397,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--format", choices=["json", "csv", "table"], default="json")
     add_io(sp, csv_in=False)
-    sp.set_defaults(func=cmd_experiment)
 
     return p
 
@@ -413,7 +407,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        done = args.func(args)
+        done = globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except CsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -125,9 +125,16 @@ class ScanStats:
     suffix_css: np.ndarray
 
 
-def _css(q, s, count):
-    """Centered sum of squares Q - S^2 / count from a segment's sums, floored at 0."""
-    return np.maximum(q - s * s / count, 0.0)
+def _css(q, s, count, out=None):
+    """Centered sum of squares Q - S^2 / count from a segment's sums, floored at 0.
+
+    Computed in one buffer: out, or a new array. out may be s itself (s
+    is read once, before out is written), never q.
+    """
+    out = np.multiply(s, s, out=out)
+    out /= count
+    np.subtract(q, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _centered_sums(xmat: np.ndarray):
@@ -137,37 +144,41 @@ def _centered_sums(xmat: np.ndarray):
     return mean, xc, np.cumsum(xc, axis=1)
 
 
-def _scan_rows(xmat: np.ndarray):
-    """Prefix/suffix sums and centered sums of squares for each row of a (B, n) matrix.
+def _scan_rows(xmat: np.ndarray, j: np.ndarray):
+    """Prefix and suffix centered sums of squares of each row of a (B, n) matrix at the splits j.
 
+    j holds consecutive splits in 1..n; only their columns are computed.
     Rows are centered by `_centered_sums` first, so neither S_X nor the
     formula css = Q - S^2 / count loses digits to the row level (both are
-    shift invariant). Returns (mean, xc, cs, rs, prefix_css, suffix_css):
-    the (B, 1) row means, the centered rows, and at column j - 1 the
-    centered sums of the prefix 1..j (cs) and the suffix j+1..n (rs) and
-    their css. Suffix css at j = n is NaN (empty segment).
+    shift invariant). Returns (mean, xc, cs, prefix_css, suffix_css): the
+    (B, 1) row means, the centered rows and their prefix sums at every
+    column, and at column i the css of the prefix 1..j[i] and of the
+    suffix j[i]+1..n. Suffix css at j = n is NaN (empty segment).
     """
     n = xmat.shape[1]
     mean, xc, cs = _centered_sums(xmat)
-    cq = np.cumsum(xc * xc, axis=1)
-    j = np.arange(1, n + 1, dtype=float)
-    rs = cs[:, -1:] - cs
+    cq = np.multiply(xc, xc)
+    np.cumsum(cq, axis=1, out=cq)
+    sel = slice(j[0] - 1, j[-1])
+    prefix_css = _css(cq[:, sel], cs[:, sel], j)
+    suffix = np.subtract(cs[:, -1:], cs[:, sel])  # the suffix sums, then their css
+    q = np.subtract(cq[:, -1:], cq[:, sel], out=cq[:, sel])
     with np.errstate(divide="ignore", invalid="ignore"):  # the suffix at j = n is empty
-        suffix_css = _css(cq[:, -1:] - cq, rs, n - j)
-    return mean, xc, cs, rs, _css(cq, cs, j), suffix_css
+        suffix_css = _css(q, suffix, n - j, suffix)
+    return mean, xc, cs, prefix_css, suffix_css
 
 
 def prefix_suffix_scan(x: np.ndarray) -> ScanStats:
     """Compute all prefix/suffix means and centered sums of squares in O(n).
 
-    The B = 1 row of `_scan_rows`, which the self-normalized CUSUM scan
-    also runs.
+    The B = 1 row of `_scan_rows` at every split 1..n; the
+    self-normalized CUSUM scan runs it at the trimmed splits.
     """
     x = as_series(x)
-    mean, _xc, cs, rs, prefix_css, suffix_css = _scan_rows(x[None])
-    j = np.arange(1, x.size + 1, dtype=float)
+    j = np.arange(1, x.size + 1)
+    mean, _xc, cs, prefix_css, suffix_css = _scan_rows(x[None], j)
     with np.errstate(divide="ignore", invalid="ignore"):
-        suffix_mean = mean[0] + rs[0] / (x.size - j)
+        suffix_mean = mean[0] + (cs[0, -1] - cs[0]) / (x.size - j)
     return ScanStats(mean[0] + cs[0] / j, prefix_css[0], suffix_mean, suffix_css[0])
 
 

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from snstat import changepoint
 from snstat.core import DegenerateDataError
 from snstat.changepoint import (
+    _sn_stat_rows,
     classical_scan,
     classical_test,
     sn_scan,
@@ -148,6 +151,74 @@ class TestSnScan:
                 v2 = np.sum((suf - suf.mean()) ** 2)
                 denom = math.sqrt((1 - j / n) ** 2 * v1 + (j / n) ** 2 * v2)
                 assert scan.values[i] == pytest.approx(sx(x, j) / denom, rel=1e-10)
+
+
+def reference_sn_stat_rows(xmat, c, k_n):
+    """The self-normalized kernel on the whole matrix: fresh temporaries, every split scanned."""
+    b, n = xmat.shape
+    jf = np.arange(1, n + 1, dtype=float)
+    xc = xmat - xmat.mean(axis=1, keepdims=True)
+    cs = np.cumsum(xc, axis=1)
+    cq = np.cumsum(xc * xc, axis=1)
+    rs = cs[:, -1:] - cs
+    pre_css = np.maximum(cq - cs * cs / jf, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        suf_css = np.maximum(cq[:, -1:] - cq - rs * rs / (n - jf), 0.0)
+    j_lo, j_hi = trimmed_range(n, c)
+    j = np.arange(j_lo, j_hi + 1)
+    sel = slice(j_lo - 1, j_hi)
+    denom_sq = (1.0 - j / n) ** 2 * pre_css[:, sel] + (j / n) ** 2 * suf_css[:, sel]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (cs[:, sel] - (j / n) * cs[:, -1:]) / np.sqrt(denom_sq)
+    t = np.where(np.isfinite(t), t, 0.0)
+    rows = np.arange(b)
+    i_hat = np.argmax(np.abs(t), axis=1)
+    max_t = np.abs(t[rows, i_hat])
+    j_hat = j[i_hat]
+    pre_mean = cs[rows, j_hat - 1] / j_hat
+    suf_mean = rs[rows, j_hat - 1] / (n - j_hat)
+    before = np.arange(n)[None, :] < j_hat[:, None]
+    eps = xc - np.where(before, pre_mean[:, None], suf_mean[:, None])
+    l_n = n // k_n
+    blocks = eps[:, : l_n * k_n].reshape(b, l_n, k_n)
+    bm = blocks.mean(axis=2)
+    css = np.sum((blocks - bm[:, :, None]) ** 2, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = k_n * (bm - eps.mean(axis=1)[:, None]) / np.sqrt(css)
+        tau_sq = np.mean(d * d, axis=1)
+        stats = max_t / np.sqrt(tau_sq)
+    ok = np.all(css > 0.0, axis=1) & np.all(denom_sq > 0.0, axis=1) & (tau_sq > 0.0)
+    return stats, ok
+
+
+class TestSnStatRows:
+    @pytest.mark.parametrize("level", [0.0, 50.0])
+    @pytest.mark.parametrize("c", [0.1, 0.25])
+    @pytest.mark.parametrize("n", [121, 1201])
+    @pytest.mark.parametrize("rows", [1, 7, 137])
+    def test_slices_match_whole_matrix(self, monkeypatch, rows, n, c, level):
+        rng = np.random.default_rng(rows * n)
+        xmat = rng.standard_normal((rows, n)) * np.linspace(1.0, 3.0, n) + level
+        xmat[rows // 2 :, n // 3 :] += 2.0  # a step in the later rows
+        if rows > 1:
+            xmat[1] = level + 0.1  # a constant row: not ok, statistic NaN
+        expected = reference_sn_stat_rows(xmat, c, 11)
+        for budget in (1, n - 1, n + 1, 2**30, changepoint.SN_SLICE_ELEMS):
+            monkeypatch.setattr(changepoint, "SN_SLICE_ELEMS", budget)
+            stats, ok = _sn_stat_rows(xmat, c, 11)
+            np.testing.assert_array_equal(stats, expected[0], err_msg=str(budget))
+            np.testing.assert_array_equal(ok, expected[1], err_msg=str(budget))
+
+    def test_peak_memory_bounded_by_slice(self):
+        # one (1000, 1200) float64 temporary alone is 9.6 MB
+        xmat = np.random.default_rng(0).standard_normal((1000, 1200))
+        tracemalloc.start()
+        try:
+            _sn_stat_rows(xmat, 0.1, 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 class TestSnTest:

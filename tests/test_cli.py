@@ -556,6 +556,14 @@ class TestParserReuse:
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
 
+    def test_command_replaced_after_first_call_runs(self, capsys, monkeypatch, csv_path):
+        assert main(["lrv", csv_path, "--blocks", "10"]) == 0  # the parser now exists
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_lrv", lambda args: calls.append(args.blocks))
+        assert main(["lrv", csv_path, "--blocks", "12"]) == 0
+        assert calls == [12]
+
 
 class TestSubprocess:
     """The exit status and streams a shell sees, which in-process calls cannot show."""

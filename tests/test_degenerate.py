@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from snstat import core
-from snstat.changepoint import classical_test, variance_change_test
+from snstat.changepoint import (
+    classical_test, sn_scan, sn_statistic, sn_test, variance_change_test
+)
 from snstat.core import DegenerateDataError
 from snstat.inference import combo_ci, sn_ci, wb_ci
 from snstat.lrv import lrv_selfnorm
@@ -28,6 +30,9 @@ RAISING = {
         lambda x: variance_change_test(x, 0.1, 10, B=50),
         "degenerate transform",
     ),
+    "sn_scan": (lambda x: sn_scan(x, 0.1), "degenerate scan at j=12"),
+    "sn_statistic": (lambda x: sn_statistic(x, 0.1, 10), "degenerate scan at j=12"),
+    "sn_test": (lambda x: sn_test(x, 0.1, 10, B=50), "degenerate scan at j=12"),
 }
 
 
