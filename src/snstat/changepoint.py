@@ -196,6 +196,20 @@ def _finite_p_value(boot: np.ndarray, observed: float) -> float:
     return (1.0 + float(np.sum(boot >= observed))) / (boot.size + 1.0)
 
 
+def _report(test, statistic, scan, tau, k_n, out, B, seed) -> ChangePointReport:
+    """The report of one test: its observed statistic against the bootstrap values out."""
+    return ChangePointReport(
+        statistic=statistic,
+        j_hat=scan.j_hat,
+        p_value=_finite_p_value(out, statistic),
+        bootstrap=BootstrapDistribution(values=out, B=B, seed=seed),
+        tau_hat=tau,
+        k_n=k_n,
+        test=test,
+        scan=scan,
+    )
+
+
 def _split_residual_rows(xc, cs, j_hat: np.ndarray) -> np.ndarray:
     """Each centered row minus its own mean before, and after, its split j_hat."""
     b, n = xc.shape
@@ -294,17 +308,7 @@ def sn_test(
     statistic, scan, eps, tau = sn_statistic(x, c, k_n)
     draw = _wild_draw(stream(seed, "sn-test"), law, eps)
     out = _resample(B, eps.size, draw, lambda xi: _sn_stat_rows(xi, c, k_n))
-
-    return ChangePointReport(
-        statistic=statistic,
-        j_hat=scan.j_hat,
-        p_value=_finite_p_value(out, statistic),
-        bootstrap=BootstrapDistribution(values=out, B=B, seed=seed),
-        tau_hat=tau,
-        k_n=k_n,
-        test="sn",
-        scan=scan,
-    )
+    return _report("sn", statistic, scan, tau, k_n, out, B, seed)
 
 
 def _classical_stat_rows(xmat: np.ndarray, c: float, k_n: int, variant: str):
@@ -333,39 +337,19 @@ def classical_test(
     _check_B(B)
     _check_variant(variant)
     n = x.size
-    if _all_equal(x):
+    if _all_equal(x):  # a zero scan, tau 0 and no bootstrap values: p = 1
         j = _splits(n, c)
-        scan = _scan(c, j, np.zeros(j.size), variant)
-        return ChangePointReport(
-            statistic=0.0,
-            j_hat=scan.j_hat,
-            p_value=1.0,
-            bootstrap=BootstrapDistribution(values=np.zeros(0), B=B, seed=seed),
-            tau_hat=0.0,
-            k_n=k_n,
-            test=variant,
-            scan=scan,
+        scan, tau, out = _scan(c, j, np.zeros(j.size), variant), 0.0, np.zeros(0)
+    else:
+        tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
+        if tau == 0.0:
+            raise DegenerateDataError("degenerate series: zero stationary tau estimate")
+        scan = classical_scan(x, c, tau, variant)
+        draw = _block_draw(stream(seed, "classical-test", variant), x - x.mean(), k_n)
+        out = _resample(
+            B, n // k_n * k_n, draw, lambda xb: _classical_stat_rows(xb, c, k_n, variant)
         )
-    tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
-    if tau == 0.0:
-        raise DegenerateDataError("degenerate series: zero stationary tau estimate")
-    scan = classical_scan(x, c, tau, variant)
-
-    draw = _block_draw(stream(seed, "classical-test", variant), x - x.mean(), k_n)
-    out = _resample(
-        B, n // k_n * k_n, draw, lambda xb: _classical_stat_rows(xb, c, k_n, variant)
-    )
-
-    return ChangePointReport(
-        statistic=scan.max_value,
-        j_hat=scan.j_hat,
-        p_value=_finite_p_value(out, scan.max_value),
-        bootstrap=BootstrapDistribution(values=out, B=B, seed=seed),
-        tau_hat=tau,
-        k_n=k_n,
-        test=variant,
-        scan=scan,
-    )
+    return _report(variant, scan.max_value, scan, tau, k_n, out, B, seed)
 
 
 def variance_change_test(

@@ -31,7 +31,7 @@ from . import __version__
 from .core import DegenerateDataError, InsufficientBlocksError
 from . import changepoint as cp
 from . import inference
-from .harness import ExperimentSpec, run_experiment
+from .harness import _RANGE_HITS, ExperimentSpec, run_experiment
 from .lrv import lrv_selfnorm, lrv_stationary, select_block_length
 from .regression import fit_trend, regression_lrv, trend_ci
 from .simgen import ErrorModel, SigmaProfile, SimModel, generate
@@ -270,33 +270,22 @@ _LIST_FIELDS = {
 
 
 def cmd_experiment(args):
-    fields = dict(
-        kind=args.kind,
-        n=args.n,
-        sigma_profiles=args.profiles,
-        error_models=args.errors,
-        k_values=args.blocks,
-        methods=args.methods or (),
-        replications=args.reps,
-        bootstrap_samples=args.boot,
-        level=args.level,
-        lambda_grid=args.lambdas or (),
-        calibration_reps=args.calibration_reps,
-        master_seed=args.seed,
-    )
+    names = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    # the spec fields given as flags (the others are suppressed), then the config's
+    fields = {name: value for name, value in vars(args).items() if name in names}
+    fields["master_seed"] = args.seed
     if args.config:
         with open(args.config) as fh:
             fields.update(json.load(fh))
-    unknown = set(fields) - {f.name for f in dataclasses.fields(ExperimentSpec)}
+    unknown = set(fields) - names
     if unknown:
         raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-    if fields["level"] is None:
-        fields["level"] = 0.95 if fields["kind"] == "coverage" else 0.05
     for key, read in _LIST_FIELDS.items():
-        items = fields[key].split(",") if isinstance(fields[key], str) else fields[key]
-        if not isinstance(items, (list, tuple)):
-            raise ValueError(f"{key} must be a comma string or a list, got {items!r}")
-        fields[key] = tuple(read(v) if isinstance(v, str) else v for v in items)
+        if key in fields:
+            items = fields[key].split(",") if isinstance(fields[key], str) else fields[key]
+            if not isinstance(items, (list, tuple)):
+                raise ValueError(f"{key} must be a comma string or a list, got {items!r}")
+            fields[key] = tuple(read(v) if isinstance(v, str) else v for v in items)
     result = run_experiment(ExperimentSpec(**fields), workers=args.threads)
     rows = result.to_rows()
     if args.format == "table":
@@ -376,19 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--blocks", type=int, required=True)
 
-    sp = sub.add_parser("experiment", help="Monte Carlo table reproduction")
-    sp.add_argument("--kind", choices=["coverage", "size", "power"], required=True)
+    sp = sub.add_parser("experiment", help="Monte Carlo table reproduction",
+                        argument_default=argparse.SUPPRESS)
+    sp.add_argument("--kind", choices=list(_RANGE_HITS), required=True)
     sp.add_argument("--config", default=None, help="JSON spec file")
-    sp.add_argument("--n", type=int, default=120)
-    sp.add_argument("--profiles", default="A1")
-    sp.add_argument("--errors", default="b1:0.0", help="e.g. b1:0.4,b2:3,iid")
-    sp.add_argument("--blocks", default="10")
-    sp.add_argument("--methods", default=None)
-    sp.add_argument("--reps", type=int, default=500)
-    sp.add_argument("--boot", type=int, default=500)
-    sp.add_argument("--level", type=float, default=None)
-    sp.add_argument("--lambdas", default=None)
-    sp.add_argument("--calibration-reps", type=int, default=2000)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--profiles", dest="sigma_profiles")
+    sp.add_argument("--errors", dest="error_models", help="e.g. b1:0.4,b2:3,iid")
+    sp.add_argument("--blocks", dest="k_values")
+    sp.add_argument("--methods")
+    sp.add_argument("--reps", dest="replications", type=int)
+    sp.add_argument("--boot", dest="bootstrap_samples", type=int)
+    sp.add_argument("--level", type=float)
+    sp.add_argument("--lambdas", dest="lambda_grid")
+    sp.add_argument("--calibration-reps", type=int)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--format", choices=["json", "csv", "table"], default="json")
     add_io(sp, csv_in=False)

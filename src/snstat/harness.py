@@ -7,12 +7,12 @@ grouping of replicates yields the same table.
 
 The pool's work unit is a (cell, replicate range) task, `_run_cell`.
 Coverage and size cells are cut into `workers` contiguous ranges, and the
-ranges' hit counts add up. A power cell runs in two phases, one range per
-cell in each: calibration gathers the null statistics in replicate order
-for the critical values, then every shift is tested on a shifted copy of
-the same noise. Both phases feed each range's (R, n) replicate matrix, in
-row chunks of bounded size, to the row kernels in `changepoint._TESTS`.
-A process pool starts only when a phase has more than one task.
+ranges' hit counts add up. A power cell is one task: it gathers the null
+statistics of its calibration replicates in replicate order, takes their
+critical values, then tests every shift on a shifted copy of the same
+noise. It feeds its (R, n) replicate matrices, in row chunks of bounded
+size, to the row kernels in `changepoint._TESTS`. A process pool starts
+only when there is more than one task.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .changepoint import _TESTS
+from .changepoint import _TESTS, trimmed_range
 from .core import DegenerateDataError, row_chunks
 from .inference import _INTERVALS
 from .rng import derive_seed
-from .simgen import ErrorModel, SigmaProfile, SimModel, generate
+from .simgen import _PROFILE_NAMES, ErrorModel, SigmaProfile, SimModel, generate
 
 COVERAGE_METHODS = tuple(_INTERVALS)
 TEST_METHODS = tuple(_TESTS)
-_PROFILES = ("A1", "A2", "A3", "A4", "constant")  # the sigma profiles a spec names, any case
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class ExperimentSpec:
     methods: tuple = ()
     replications: int = 500
     bootstrap_samples: int = 500
-    level: float = 0.95
+    level: float | None = None  # None: 0.95 for coverage, 0.05 for size and power
     lambda_grid: tuple = ()
     calibration_reps: int = 2000
     change_at: int = 40
@@ -61,8 +60,10 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _FIRST_PHASE:
+        if self.kind not in _RANGE_HITS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
+        if self.level is None:
+            object.__setattr__(self, "level", 0.95 if self.kind == "coverage" else 0.05)
         ints = "n replications bootstrap_samples calibration_reps change_at master_seed".split()
         checks = [(f, getattr(self, f)) for f in ints] + [("k_values", k) for k in self.k_values]
         for name, value in checks:
@@ -71,14 +72,12 @@ class ExperimentSpec:
         for name in ("sigma_profiles", "error_models", "k_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        names = {p.lower(): p for p in _PROFILES}
         for profile in self.sigma_profiles:
-            if not (isinstance(profile, str) and profile.lower() in names):
-                raise ValueError(
-                    f"sigma_profiles: expected one of {', '.join(_PROFILES)}, got {profile!r}"
-                )
+            if not (isinstance(profile, str) and profile.lower() in _PROFILE_NAMES):
+                names = ", ".join(_PROFILE_NAMES.values())
+                raise ValueError(f"sigma_profiles: expected one of {names}, got {profile!r}")
         # one spelling per profile: it names the cell and seeds its streams
-        canonical = tuple(names[p.lower()] for p in self.sigma_profiles)
+        canonical = tuple(_PROFILE_NAMES[p.lower()] for p in self.sigma_profiles)
         object.__setattr__(self, "sigma_profiles", canonical)
         for error in self.error_models:
             if not isinstance(error, ErrorModel):
@@ -91,6 +90,11 @@ class ExperimentSpec:
         level = self.level
         if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0 < level < 1:
             raise ValueError(f"level: expected a number in (0, 1), got {level!r}")
+        if self.kind != "coverage":
+            try:
+                trimmed_range(self.n, self.trim)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"trim: {exc}") from None
         if self.kind == "power":
             if not 1 <= self.change_at <= self.n - 1:
                 raise ValueError(
@@ -195,7 +199,7 @@ def _stat_rows(spec, cell: tuple, m: str, xmat: np.ndarray) -> np.ndarray:
     return stats
 
 
-def _rate_range(spec, cell: tuple, r0: int, r1: int, _crit) -> np.ndarray:
+def _rate_range(spec, cell: tuple, r0: int, r1: int) -> np.ndarray:
     """Hit counts per method over replicates r0..r1-1 of a coverage or size cell."""
     methods = spec.resolved_methods()
     hits = np.zeros(len(methods), dtype=np.int64)
@@ -206,22 +210,21 @@ def _rate_range(spec, cell: tuple, r0: int, r1: int, _crit) -> np.ndarray:
     return hits
 
 
-def _calib_range(spec, cell: tuple, r0: int, r1: int, _crit) -> np.ndarray:
-    """(R, methods) null statistics of a power cell's calibration replicates r0..r1-1."""
-    methods = spec.resolved_methods()
-    return np.concatenate([
-        np.column_stack([_stat_rows(spec, cell, m, xmat) for m in methods])
-        for _seeds, xmat in _chunks(spec, "power-calib", cell, r0, r1)
-    ])
-
-
-def _power_range(spec, cell: tuple, r0: int, r1: int, crit: list) -> np.ndarray:
+def _power_range(spec, cell: tuple, r0: int, r1: int) -> np.ndarray:
     """(methods, lambdas) rejection counts over replicates r0..r1-1 of a power cell.
 
-    Every lambda shifts a copy of the same noise matrix, so the only
-    difference across lambda is the mean shift itself.
+    Each method's critical value is the 1 - alpha quantile of its statistics
+    on all of the cell's calibration replicates. Every lambda shifts a copy
+    of the same noise matrix, so the only difference across lambda is the
+    mean shift itself.
     """
     methods = spec.resolved_methods()
+    calib = np.concatenate([
+        np.column_stack([_stat_rows(spec, cell, m, xmat) for m in methods])
+        for _seeds, xmat in _chunks(spec, "power-calib", cell, 0, spec.calibration_reps)
+    ])
+    alpha = _test_alpha(spec)
+    crit = [float(np.quantile(calib[:, i], 1.0 - alpha)) for i in range(len(methods))]
     hits = np.zeros((len(methods), len(spec.lambda_grid)), dtype=np.int64)
     for _seeds, base in _chunks(spec, "power", cell, r0, r1):
         for j, lam in enumerate(spec.lambda_grid):
@@ -232,15 +235,14 @@ def _power_range(spec, cell: tuple, r0: int, r1: int, crit: list) -> np.ndarray:
     return hits
 
 
-_PHASES = {"rate": _rate_range, "calib": _calib_range, "power": _power_range}
-# kind -> its first phase; a power run follows calibration with the "power" phase
-_FIRST_PHASE = {"coverage": "rate", "size": "rate", "power": "calib"}
+# kind -> hits(spec, cell, r0, r1): the hit counts of replicates r0..r1-1 of a cell
+_RANGE_HITS = {"coverage": _rate_range, "size": _rate_range, "power": _power_range}
 
 
 def _run_cell(task):
-    """Run one (cell, replicate range) task of a phase: the pool's work unit."""
-    phase, spec, cell, r0, r1, crit = task
-    return _PHASES[phase](spec, cell, r0, r1, crit)
+    """Run one (cell, replicate range) task: the pool's work unit."""
+    spec, cell, r0, r1 = task
+    return _RANGE_HITS[spec.kind](spec, cell, r0, r1)
 
 
 def _split(count: int, parts: int) -> list:
@@ -263,8 +265,6 @@ def _cells(spec: ExperimentSpec, cell: tuple, hits: np.ndarray) -> dict:
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Evaluate every cell of the spec; deterministic for any worker count."""
-    if spec.kind not in _FIRST_PHASE:
-        raise ValueError(f"unknown experiment kind: {spec.kind!r}")
     t0 = time.perf_counter()
     # each cell once: the hit counts of its ranges are added up by cell
     grid = list(dict.fromkeys(
@@ -273,27 +273,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         for error in spec.error_models
         for k in spec.k_values
     ))
-    if spec.kind == "power":
-        ranges = [(0, spec.calibration_reps)]
-    else:
-        ranges = _split(spec.replications, max(workers, 1))
-    first = _FIRST_PHASE[spec.kind]
-    tasks = [(first, spec, cell, r0, r1, None) for cell in grid for r0, r1 in ranges]
+    ranges = _split(spec.replications, 1 if spec.kind == "power" else max(workers, 1))
+    tasks = [(spec, cell, r0, r1) for cell in grid for r0, r1 in ranges]
     parallel = workers > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        run = pool.map if parallel else map
-        parts = list(run(_run_cell, tasks))
-        if spec.kind == "power":
-            alpha = _test_alpha(spec)
-            crits = [
-                [float(np.quantile(calib[:, i], 1.0 - alpha)) for i in range(calib.shape[1])]
-                for calib in parts
-            ]
-            tasks = [("power", spec, cell, 0, spec.replications, crit)
-                     for cell, crit in zip(grid, crits)]
-            parts = list(run(_run_cell, tasks))
+        hits_of = list((pool.map if parallel else map)(_run_cell, tasks))
     totals: dict = {}
-    for (_phase, _spec, cell, *_range), hits in zip(tasks, parts):
+    for (_spec, cell, *_range), hits in zip(tasks, hits_of):
         totals[cell] = totals.get(cell, 0) + hits
     cells: dict = {}
     for cell, hits in totals.items():

@@ -227,7 +227,7 @@ def wild_bootstrap_mean(
         tau_sq, ok = _tau_sq_selfnorm_rows(xi, k_n)
         with np.errstate(divide="ignore", invalid="ignore"):
             h = s / (np.sqrt(tau_sq) * np.sqrt(css))
-        return h, ok & (css > 0.0)
+        return h, ok
 
     out = _resample(B, n, _wild_draw(stream(seed, "wb"), law, eps), stat_rows)
     return BootstrapDistribution(values=out, B=B, seed=seed)
@@ -254,7 +254,7 @@ def wb_ci(
     n = x.size
     tau, vn = _tau_vn(x, k_n)
     boot = wild_bootstrap_mean(x, B, k_n, law=law, seed=seed)
-    q_lo, q_hi = np.quantile(boot.values, [alpha / 2, 1 - alpha / 2])
+    q_lo, q_hi = np.quantile(boot.values, [alpha / 2, 1 - alpha / 2]).tolist()
     xbar = float(x.mean())
     scale = tau * vn / n
     return ConfidenceInterval(
@@ -323,7 +323,7 @@ def bb_ci(
     n = x.size
     tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
     boot = block_bootstrap_mean(x, B, k_n, studentized=studentized, seed=seed)
-    q_lo, q_hi = np.quantile(boot.values, [alpha / 2, 1 - alpha / 2])
+    q_lo, q_hi = np.quantile(boot.values, [alpha / 2, 1 - alpha / 2]).tolist()
     xbar = float(x.mean())
     scale = (tau if studentized else 1.0) / math.sqrt(n)
     method = "sbb" if studentized else "bb"

@@ -43,11 +43,21 @@ def _block_means(xmat: np.ndarray, k_n: int):
 
 
 def _d_selfnorm_rows(xmat: np.ndarray, k_n: int):
-    """Self-normalized D_j of each row of a (B, n) matrix, with the within-block css."""
+    """Self-normalized D_j of each row of a (B, n) matrix, and its (B, l_n) degenerate blocks.
+
+    A block is degenerate when its values are all equal or its css underflows
+    to 0. An equal block's css rounds below k_n^3 u^2 bm^2 (u = 2^-53), so
+    only blocks under 8 times that bound, or with a NaN css, get the exact test.
+    """
     blocks, bm = _block_means(xmat, k_n)
     css = np.sum((blocks - bm[:, :, None]) ** 2, axis=2)
+    # scaled before it is squared, the bound overflows only past |bm| ~ 1e160
+    degenerate = ~(css > np.square(bm * ((8.0 * float(k_n) ** 3) ** 0.5 * 2.0**-53)))
+    if degenerate.any():
+        near = np.nonzero(degenerate)
+        degenerate[near] = (css[near] == 0.0) | _all_equal(blocks[near])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return k_n * (bm - xmat.mean(axis=1)[:, None]) / np.sqrt(css), css
+        return k_n * (bm - xmat.mean(axis=1)[:, None]) / np.sqrt(css), degenerate
 
 
 def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int) -> np.ndarray:
@@ -72,8 +82,8 @@ def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
     D_j = k_n * (block mean - overall mean) / within-block sd, and
     tau^2_hat is the average of D_j^2. The overall mean includes any
     remainder indices beyond the last full block. In value this is the
-    B = 1 row of `_tau_sq_selfnorm_rows`; any block of equal values, not
-    only one whose rounded css is 0, raises DegenerateDataError.
+    B = 1 row of `_tau_sq_selfnorm_rows`, and a degenerate block (see
+    `_d_selfnorm_rows`) raises DegenerateDataError.
 
     The estimator is biased at any fixed block length: on i.i.d.
     Gaussian data E[D_j^2] = k_n (1 - k_n/n) / (k_n - 3) exactly (1.131
@@ -84,12 +94,10 @@ def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
     """
     x = as_series(x)
     part = partition(x.size, k_n)
-    d, css = _d_selfnorm_rows(x[None], k_n)
-    # css also underflows to 0 when every deviation is below about 1e-162
-    degenerate = np.flatnonzero(_all_equal(part.view(x)) | (css[0] == 0.0))
-    if degenerate.size:
+    d, degenerate = _d_selfnorm_rows(x[None], k_n)
+    if degenerate.any():
         raise DegenerateDataError(
-            f"degenerate block {degenerate[0] + 1}: zero within-block variance"
+            f"degenerate block {np.argmax(degenerate[0]) + 1}: zero within-block variance"
         )
     return _estimate(part, d, "selfnorm")
 
@@ -110,12 +118,12 @@ def lrv_stationary(x, k_n: int) -> LongRunEstimate:
 def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
     """Row-wise self-normalized tau^2 for a (B, n) matrix.
 
-    Returns (tau_sq, ok) where ok flags rows without degenerate blocks.
-    Used by the resampling driver, which evaluates thousands of
-    resampled series per call.
+    Returns (tau_sq, ok) where ok flags rows without degenerate blocks,
+    by the rule `lrv_selfnorm` raises on. Used by `inference._resample`,
+    which evaluates thousands of resampled series per call.
     """
-    d, css = _d_selfnorm_rows(xmat, k_n)
-    return _mean_sq(d), np.all(css > 0.0, axis=1)
+    d, degenerate = _d_selfnorm_rows(xmat, k_n)
+    return _mean_sq(d), ~degenerate.any(axis=1)
 
 
 def _tau_sq_stationary_rows(xmat: np.ndarray, k_n: int):

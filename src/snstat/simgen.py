@@ -34,6 +34,17 @@ class SigmaProfile:
         return sigma_values(self.kind, self.n, value=self.value, custom=self.custom)
 
 
+# profile -> sigma(i, n, value) at the indices i = 1..n, as floats; any letter case names it
+_SIGMA_PROFILES = {
+    "A1": lambda i, n, value: np.where(i <= n // 2, 0.2, 0.6),
+    "A2": lambda i, n, value: 0.2 * (1.0 + np.cos(i / n ** 0.8) ** 2),
+    "A3": lambda i, n, value: 0.2 + 0.1 * np.log(1.0 + np.abs(i - n / 2.0)),
+    "A4": lambda i, n, value: 0.3 + np.exp(-0.5 * (i / 60.0) ** 2) / math.sqrt(2.0 * math.pi),
+    "constant": lambda i, n, value: np.full(n, float(value)),
+}
+_PROFILE_NAMES = {name.lower(): name for name in _SIGMA_PROFILES}  # any case -> table key
+
+
 def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray:
     """Materialize a variance profile as a length-n positive vector.
 
@@ -45,22 +56,13 @@ def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray
     """
     if n < 1:
         raise ValueError(f"profile length must be >= 1, got n={n}")
-    i = np.arange(1, n + 1, dtype=float)
-    kind_l = kind.lower()
-    if kind_l == "a1":
-        sig = np.where(i <= n // 2, 0.2, 0.6)
-    elif kind_l == "a2":
-        sig = 0.2 * (1.0 + np.cos(i / n ** 0.8) ** 2)
-    elif kind_l == "a3":
-        sig = 0.2 + 0.1 * np.log(1.0 + np.abs(i - n / 2.0))
-    elif kind_l == "a4":
-        sig = 0.3 + np.exp(-0.5 * (i / 60.0) ** 2) / math.sqrt(2.0 * math.pi)
-    elif kind_l == "constant":
-        sig = np.full(n, float(value))
-    elif kind_l == "custom":
+    if kind.lower() == "custom":
         sig = np.asarray(custom, dtype=float)
         if sig.size != n:
             raise ValueError(f"custom profile has length {sig.size}, expected {n}")
+    elif kind.lower() in _PROFILE_NAMES:
+        i = np.arange(1, n + 1, dtype=float)
+        sig = _SIGMA_PROFILES[_PROFILE_NAMES[kind.lower()]](i, n, value)
     else:
         raise ValueError(f"unknown sigma profile kind: {kind!r}")
     if np.any(sig <= 0):

@@ -14,7 +14,7 @@ from snstat.changepoint import (
 )
 from snstat.core import DegenerateDataError
 from snstat.inference import combo_ci, sn_ci, wb_ci
-from snstat.lrv import lrv_selfnorm
+from snstat.lrv import _d_selfnorm_rows, _tau_sq_selfnorm_rows, lrv_selfnorm
 
 VALUES = [0.1, 0.3, 1 / 3, 2 / 3, 0.01, 123.456, 0.5, 3.0]
 
@@ -56,6 +56,54 @@ def test_one_constant_block_raises():
     x[3:6] = 0.1  # block 2 at k = 3; its rounded css is not 0
     with pytest.raises(DegenerateDataError, match="degenerate block 2"):
         lrv_selfnorm(x, 3)
+
+
+# Each k = 3 block of a wild-bootstrap row is (0.1, -0.1, 0.1) or its negative
+# times signs, so a quarter of the blocks repeat one value; those blocks'
+# rounded css is about 1e-34, not 0.
+TILE = np.tile([0.1, -0.1], 30)
+
+
+def test_wild_bootstrap_redraws_blocks_of_equal_values():
+    # nearly every Rademacher row has such a block; they used to be kept with
+    # tau^2 near 1e30 and gave an interval 7e-18 wide
+    with pytest.raises(DegenerateDataError, match="redraw cap"):
+        wb_ci(TILE, 0.05, 3, B=200)
+
+
+def test_gaussian_multipliers_unaffected():
+    ci = wb_ci(TILE, 0.05, 3, B=200, law="gaussian")
+    assert (ci.lower, ci.upper) == (-0.006965946446045846, 0.006950747477734402)
+
+
+def test_row_kernel_flags_a_block_of_equal_values():
+    tau_sq, ok = _tau_sq_selfnorm_rows(np.array([[0.1, 0.1, 0.1, 0.2, -0.3, 0.5]]), 3)
+    assert not ok[0]
+    with pytest.raises(DegenerateDataError, match="degenerate block 1"):
+        lrv_selfnorm([0.1, 0.1, 0.1, 0.2, -0.3, 0.5], 3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 25, 300])
+def test_screened_flags_match_the_exact_rule(k):
+    # rows of noise whose first block repeats v, whose second block is v with
+    # one value a step away, and whose scale makes every css underflow
+    rng = np.random.default_rng(k)
+    scales = [0.1, 1 / 3, -7.3e-5, 123.456, np.pi, 1e-150, 1e-300, 5e-324, 1e150, 1e300]
+    rows = []
+    for v in scales:
+        row = rng.normal(size=4 * k) * abs(v)
+        row[:k] = v
+        row[k : 2 * k] = v
+        row[k] = np.nextafter(v, np.inf)
+        rows.append(row)
+    rows.append(rng.normal(size=4 * k) * 1e-170)
+    xmat = np.array(rows)
+    blocks = xmat.reshape(len(rows), 4, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        css = np.sum((blocks - blocks.mean(axis=2)[:, :, None]) ** 2, axis=2)
+        flags = _d_selfnorm_rows(xmat, k)[1]
+    np.testing.assert_array_equal(flags, core._all_equal(blocks) | (css == 0.0))
+    assert flags[: len(scales), 0].all()
 
 
 def test_underflowing_css_raises():

@@ -44,12 +44,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="coverage", replications=0)
 
-    def test_unknown_kind(self):
-        spec = coverage_spec()
-        object.__setattr__(spec, "kind", "bogus")
-        with pytest.raises(ValueError, match="unknown experiment kind"):
-            run_experiment(spec)
-
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown experiment kind: 'bogus'"):
             ExperimentSpec(kind="bogus")
@@ -132,6 +126,18 @@ class TestSpecValidation:
         for change_at in (1, 119):
             spec = ExperimentSpec(kind="power", n=120, lambda_grid=(0.0,), change_at=change_at)
             assert spec.change_at == change_at
+
+    @pytest.mark.parametrize("kind", ["size", "power"])
+    @pytest.mark.parametrize("trim", [0.6, 0.5, 0.0, -0.1, "0.1"])
+    def test_trim_checked_at_construction(self, kind, trim):
+        # trim=0.6 used to fail only inside the first replicate
+        with pytest.raises(ValueError, match="^trim: "):
+            ExperimentSpec(kind=kind, trim=trim, lambda_grid=(0.0, 1.0))
+
+    def test_trim_too_wide_for_short_series(self):
+        with pytest.raises(ValueError, match="^trim: n=5 too small for trimming c=0.45"):
+            ExperimentSpec(kind="size", n=5, k_values=(2,), trim=0.45)
+        assert ExperimentSpec(kind="coverage", trim=0.6).trim == 0.6  # intervals do not trim
 
     @pytest.mark.parametrize("kind", ["coverage", "size"])
     def test_other_kinds_ignore_change_at(self, kind):

@@ -373,6 +373,12 @@ def test_alpha_out_of_range_rejected(interval, alpha):
         interval(random_series(12), alpha, 8)
 
 
+@pytest.mark.parametrize("method", sorted(inference._INTERVALS))
+def test_interval_bounds_are_python_floats(method):
+    ci = inference._INTERVALS[method](random_series(3), 0.05, 8, 50, 0, "rademacher")
+    assert type(ci.lower) is float and type(ci.upper) is float
+
+
 class TestIntervalBehavior:
     def test_sn_width_shrinks_with_n(self):
         widths = {}
