@@ -10,6 +10,7 @@ segment indices line up with CSV row numbers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +79,12 @@ class SegmentStats:
 def partition(n: int, k_n: int) -> BlockPartition:
     """Divide 1..n into floor(n/k_n) disjoint blocks of exact length k_n.
 
-    The boundary remainder is ignored. Raises InsufficientBlocksError when
-    fewer than two blocks fit.
+    The boundary remainder is ignored. Raises ValueError when k_n is not an
+    integer (a bool is not), and InsufficientBlocksError when fewer than two
+    blocks fit.
     """
+    if isinstance(k_n, bool) or not isinstance(k_n, numbers.Integral):
+        raise ValueError(f"k_n: expected an integer block length, got {k_n!r}")
     if k_n < 1:
         raise InsufficientBlocksError(f"block length must be >= 1, got k_n={k_n}")
     l_n = n // k_n

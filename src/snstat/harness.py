@@ -17,6 +17,7 @@ only when there is more than one task.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -95,6 +96,9 @@ class ExperimentSpec:
                 trimmed_range(self.n, self.trim)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"trim: {exc}") from None
+        for lam in self.lambda_grid:
+            if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
+                raise ValueError(f"lambda_grid: expected finite numbers, got {lam!r}")
         if self.kind == "power":
             if not 1 <= self.change_at <= self.n - 1:
                 raise ValueError(

@@ -27,8 +27,8 @@ from .lrv import (
     lrv_stationary,
     _block_means,
     _d_stationary,
+    _degenerate_blocks,
     _mean_sq,
-    _tau_sq_selfnorm_rows,
 )
 from .rng import stream
 
@@ -109,9 +109,27 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
+SIGN_SLICE = 2**16  # values per slice `_rademacher` maps in place: 512 KB, cache-resident
+
+
+def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
+    """i.i.d. +-1 signs as int64: rng.integers(0, 2) bits mapped to 2b - 1 in place.
+
+    The map runs in slices, so the second pass finds its slice in cache.
+    Integers are exact, so eps * signs equals the product with float signs.
+    """
+    signs = rng.integers(0, 2, size=size)
+    flat = signs.reshape(-1)
+    for start in range(0, flat.size, SIGN_SLICE):
+        part = flat[start : start + SIGN_SLICE]
+        part *= 2
+        part -= 1
+    return signs
+
+
 # law -> draw(rng, size): i.i.d. mean-zero, unit-variance wild-bootstrap multipliers
 _LAWS = {
-    "rademacher": lambda rng, size: rng.integers(0, 2, size=size) * 2.0 - 1.0,
+    "rademacher": _rademacher,
     "gaussian": lambda rng, size: rng.standard_normal(size),
 }
 
@@ -130,6 +148,61 @@ def _multipliers(rng: np.random.Generator, law: str, size) -> np.ndarray:
 def _wild_draw(rng: np.random.Generator, law: str, eps: np.ndarray):
     """draw(rows) for `_resample`: eps times i.i.d. multipliers, row-wise."""
     return lambda rows: eps * _multipliers(rng, law, (rows, eps.size))
+
+
+def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
+    """stat_rows(alpha) for `_resample`: the pivot h of each row of eps * alpha.
+
+    h = S / (tau * V) for the replicate xi = eps * alpha of a (rows, n)
+    multiplier batch, with S its sum, V^2 its centered sum of squares and
+    tau^2 its self-normalized block estimate, as `lrv_selfnorm` defines it.
+    The replicate enters only through its block sums bs = sum(alpha * eps),
+    one einsum over the batch, and its block sums of squares BQ: for a law
+    with alpha^2 = 1 those are eps's own, computed once per call. No
+    (rows, n) float product is built.
+
+    Block j's css is BQ_j - bs_j^2 / k_n. Its rounding error is at most
+    about 3 k_n u BQ_j (u = 2^-53), so above 2^-16 k_n BQ_j it is good to
+    3 * 2^-37 (2e-11) of itself. A block at or below that bound, or NaN, is
+    recomputed from its values in two passes and judged by
+    `lrv._degenerate_blocks`, the rule `lrv_selfnorm` raises on. V^2 is the
+    sum of the block css, the between-block term and the remainder's
+    squared deviations, so it loses no digits to cancellation.
+    """
+    n = eps.size
+    l_n = n // k_n
+    covered = l_n * k_n
+    e_blocks = eps[:covered].reshape(l_n, k_n)
+    e_sq = e_blocks * e_blocks
+    e_rem = eps[covered:]
+    unit = law.lower() == "rademacher"
+    bq_unit = e_sq.sum(axis=1)
+
+    def stat_rows(alpha):
+        a_blocks = alpha[:, :covered].reshape(-1, l_n, k_n)
+        bs = np.einsum("rlk,lk->rl", a_blocks, e_blocks)
+        bq = bq_unit if unit else np.einsum("rlk,rlk,lk->rl", a_blocks, a_blocks, e_sq)
+        rem = alpha[:, covered:] * e_rem
+        s = bs.sum(axis=1) + rem.sum(axis=1)
+        mean = s / n
+        css = bq - bs * bs / k_n
+        degenerate = np.zeros(css.shape, dtype=bool)
+        redo = ~(css > (k_n * 2.0**-16) * bq)
+        if redo.any():
+            r, j = np.nonzero(redo)
+            xi = a_blocks[r, j] * e_blocks[j]
+            bm = xi.mean(axis=1)
+            css[r, j] = exact = np.sum((xi - bm[:, None]) ** 2, axis=1)
+            degenerate[r, j] = _degenerate_blocks(xi, bm, exact)
+        dev = bs - k_n * mean[:, None]  # k_n (block mean - mean)
+        rem -= mean[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau_sq = _mean_sq(dev / np.sqrt(css))
+            vn_sq = css.sum(axis=1) + np.sum(dev * dev, axis=1) / k_n + np.sum(rem * rem, axis=1)
+            h = s / (np.sqrt(tau_sq) * np.sqrt(vn_sq))
+        return h, ~degenerate.any(axis=1)
+
+    return stat_rows
 
 
 def _block_draw(rng: np.random.Generator, x: np.ndarray, k_n: int):
@@ -211,25 +284,18 @@ def wild_bootstrap_mean(
 
     Each replicate multiplies the centered data by i.i.d. mean-zero,
     unit-variance signs/weights and recomputes the self-normalized
-    statistic, including its own block tau estimate. Degenerate
-    replicates are redrawn, up to REDRAW_FACTOR * B total draws. Rows are
-    evaluated in batches of at most max(core.CHUNK_ELEMS, n) values, so
-    memory does not grow with B; the values do not depend on batch size.
+    statistic, including its own block tau estimate, from its block sums
+    (`_wb_stat_rows`). Degenerate replicates are redrawn, up to
+    REDRAW_FACTOR * B total draws. Multipliers are drawn in batches of at
+    most max(core.CHUNK_ELEMS, n) values, so memory does not grow with B;
+    the values do not depend on batch size.
     """
     x = as_series(x)
     _check_law(law)
     n = partition(x.size, k_n).n  # validates feasibility up front
-    eps = x - x.mean()
-
-    def stat_rows(xi):
-        s = xi.sum(axis=1)
-        css = np.sum((xi - (s / n)[:, None]) ** 2, axis=1)
-        tau_sq, ok = _tau_sq_selfnorm_rows(xi, k_n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = s / (np.sqrt(tau_sq) * np.sqrt(css))
-        return h, ok
-
-    out = _resample(B, n, _wild_draw(stream(seed, "wb"), law, eps), stat_rows)
+    rng = stream(seed, "wb")
+    stat_rows = _wb_stat_rows(x - x.mean(), k_n, law)
+    out = _resample(B, n, lambda rows: _multipliers(rng, law, (rows, n)), stat_rows)
     return BootstrapDistribution(values=out, B=B, seed=seed)
 
 

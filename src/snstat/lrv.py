@@ -9,6 +9,7 @@ empirical MSE of tau_hat on i.i.d. Gaussian data.
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 import warnings
@@ -45,19 +46,30 @@ def _block_means(xmat: np.ndarray, k_n: int):
 def _d_selfnorm_rows(xmat: np.ndarray, k_n: int):
     """Self-normalized D_j of each row of a (B, n) matrix, and its (B, l_n) degenerate blocks.
 
-    A block is degenerate when its values are all equal or its css underflows
-    to 0. An equal block's css rounds below k_n^3 u^2 bm^2 (u = 2^-53), so
-    only blocks under 8 times that bound, or with a NaN css, get the exact test.
+    A block is degenerate by the rule of `_degenerate_blocks`.
     """
     blocks, bm = _block_means(xmat, k_n)
     css = np.sum((blocks - bm[:, :, None]) ** 2, axis=2)
+    degenerate = _degenerate_blocks(blocks, bm, css)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return k_n * (bm - xmat.mean(axis=1)[:, None]) / np.sqrt(css), degenerate
+
+
+def _degenerate_blocks(blocks: np.ndarray, bm: np.ndarray, css: np.ndarray) -> np.ndarray:
+    """Flags of the blocks (..., k_n), with means bm and two-pass css, that are degenerate.
+
+    A block is degenerate when its values are all equal or its css underflows
+    to 0. An equal block's css rounds below k_n^3 u^2 bm^2 (u = 2^-53), so
+    only blocks under 8 times that bound, or with a NaN css, get the exact test.
+    The wild bootstrap's block-sum kernel applies it to the blocks it recomputes.
+    """
+    k_n = blocks.shape[-1]
     # scaled before it is squared, the bound overflows only past |bm| ~ 1e160
     degenerate = ~(css > np.square(bm * ((8.0 * float(k_n) ** 3) ** 0.5 * 2.0**-53)))
     if degenerate.any():
         near = np.nonzero(degenerate)
         degenerate[near] = (css[near] == 0.0) | _all_equal(blocks[near])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return k_n * (bm - xmat.mean(axis=1)[:, None]) / np.sqrt(css), degenerate
+    return degenerate
 
 
 def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int) -> np.ndarray:
@@ -171,6 +183,9 @@ def select_block_length(
     k_grid = list(k_grid)
     if not k_grid:
         raise ValueError("empty block-length grid")
+    for k in k_grid:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"k_grid: expected integer block lengths, got {k!r}")
 
     streams = {}
     for k in sorted(k_grid):

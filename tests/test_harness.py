@@ -34,6 +34,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="lambda"):
             ExperimentSpec(kind="power", lambda_grid=(1.0, 2.0))
 
+    @pytest.mark.parametrize("item", ["1", True, float("nan"), float("inf"), -float("inf"), None])
+    def test_lambda_grid_items_must_be_finite_numbers(self, item):
+        # these used to build, and the first power replicate failed later
+        with pytest.raises(ValueError, match="^lambda_grid: expected finite numbers"):
+            ExperimentSpec(kind="power", lambda_grid=(0.0, item))
+
+    def test_lambda_grid_accepts_integers_and_numpy_floats(self):
+        spec = ExperimentSpec(kind="power", lambda_grid=(0, np.float64(0.5), 2))
+        assert spec.lambda_grid == (0, 0.5, 2)
+
     def test_unknown_methods_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
             ExperimentSpec(kind="coverage", methods=("sn", "t1"))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snstat import core, inference
 from snstat.changepoint import sn_test, variance_change_test
@@ -17,7 +19,7 @@ from snstat.inference import (
     wb_ci,
     wild_bootstrap_mean,
 )
-from snstat.lrv import _block_means, _tau_sq_stationary_rows
+from snstat.lrv import _block_means, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
 from snstat.rng import stream
 from snstat.simgen import ErrorModel, SigmaProfile, SimModel, generate
 
@@ -216,6 +218,96 @@ class TestWildBootstrap:
         a = wb_ci(x, 0.05, 10, B=200, seed=9)
         b = wb_ci(x, 0.05, 10, B=200, seed=9)
         assert (a.lower, a.upper) == (b.lower, b.upper)
+
+
+def reference_wb_stat_rows(xi, k_n):
+    """The wild-bootstrap pivot of each row of a (rows, n) replicate matrix, in two passes.
+
+    The replicate statistic as it was computed before block sums; also
+    returns each row's tau^2.
+    """
+    n = xi.shape[1]
+    s = xi.sum(axis=1)
+    css = np.sum((xi - (s / n)[:, None]) ** 2, axis=1)
+    tau_sq, ok = _tau_sq_selfnorm_rows(xi, k_n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = s / (np.sqrt(tau_sq) * np.sqrt(css))
+    return h, ok, tau_sq
+
+
+class TestWildBootstrapKernel:
+    """`inference._wb_stat_rows` against the two-pass statistic on the same multipliers."""
+
+    @given(
+        law=st.sampled_from(["rademacher", "gaussian"]),
+        k=st.integers(min_value=2, max_value=50),
+        l_n=st.integers(min_value=2, max_value=8),
+        extra=st.integers(min_value=0, max_value=49),
+        tile=st.booleans(),
+        log_level=st.floats(min_value=0.0, max_value=8.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_pass_statistic(self, law, k, l_n, extra, tile, log_level, seed):
+        n = l_n * k + extra % k
+        rng = np.random.default_rng(seed)
+        level = 10.0**log_level
+        if tile:  # +-v: every block of a Rademacher replicate can repeat one value
+            x = np.tile([level, -level], n)[:n]
+        else:
+            x = level + rng.normal(size=n) * np.linspace(1.0, 3.0, n)
+        eps = x - x.mean()
+        alpha = inference._multipliers(rng, law, (64, n))
+        h_ref, ok_ref, tau_sq = reference_wb_stat_rows(eps * alpha, k)
+        h, ok = inference._wb_stat_rows(eps, k, law)(alpha)
+        np.testing.assert_array_equal(ok, ok_ref)
+        # where every block mean equals the row mean, tau^2 = 0 and h = 0/0:
+        # both kernels give rounding noise, inf or nan there
+        rows = ok & (tau_sq > 1e-12)
+        assert np.array_equal(np.isfinite(h[rows]), np.isfinite(h_ref[rows]))
+        rows &= np.isfinite(h_ref)
+        assert np.all(np.abs(h[rows] - h_ref[rows]) <= 1e-10 * np.maximum(1.0, np.abs(h_ref[rows])))
+
+    def test_blocks_of_one_sign_at_a_high_level_are_recomputed(self):
+        # halves at +-1e8: a block whose signs all agree with eps's is 1e8 plus
+        # noise, and BQ - bs^2 / k loses every digit of its css
+        k, n = 4, 40
+        rng = np.random.default_rng(5)
+        x = np.repeat([1e8, -1e8], n // 2) + rng.normal(size=n)
+        eps = x - x.mean()
+        alpha = inference._multipliers(rng, "rademacher", (64, n))
+        h_ref, ok_ref, _ = reference_wb_stat_rows(eps * alpha, k)
+        h, ok = inference._wb_stat_rows(eps, k, "rademacher")(alpha)
+        xi = (eps * alpha).reshape(64, n // k, k)
+        one_sign = np.all(np.sign(xi) == np.sign(xi[..., :1]), axis=2)
+        assert one_sign.sum() > 20
+        diff_css = np.sum(xi * xi, axis=2) - xi.sum(axis=2) ** 2 / k
+        exact_css = np.sum((xi - xi.mean(axis=2, keepdims=True)) ** 2, axis=2)
+        assert np.max(np.abs(diff_css - exact_css)[one_sign] / exact_css[one_sign]) > 1e-3
+        np.testing.assert_array_equal(ok, ok_ref)
+        assert ok.all()
+        # h = S / (tau V), and S cancels to 1e-17 of its terms in some rows: h is
+        # held to 1e-10 of itself times the condition number of that sum
+        xi = xi.reshape(64, n)
+        cond = np.abs(xi).sum(axis=1) / np.abs(xi.sum(axis=1))
+        assert np.all(np.abs(h - h_ref) <= 1e-10 * np.abs(h_ref) * cond)
+
+    def test_rows_with_a_block_of_equal_values_are_not_ok(self):
+        # eps = +-1e8 exactly: a block whose signs agree repeats one value
+        eps = np.repeat([1e8, -1e8], 20)
+        alpha = inference._multipliers(np.random.default_rng(6), "rademacher", (64, 40))
+        _, ok = inference._wb_stat_rows(eps, 4, "rademacher")(alpha)
+        np.testing.assert_array_equal(ok, reference_wb_stat_rows(eps * alpha, 4)[1])
+        assert 0 < ok.sum() < 64
+
+    def test_rademacher_multipliers_are_exact_integers(self):
+        # the same stream as float signs, with no float product to build
+        signs = _multipliers(np.random.default_rng(0), "rademacher", (3, 7))
+        bits = np.random.default_rng(0).integers(0, 2, size=(3, 7))
+        assert signs.dtype == np.int64
+        np.testing.assert_array_equal(signs, 2 * bits - 1)
+        eps = random_series(1, 7)
+        np.testing.assert_array_equal(eps * signs, eps * (2.0 * bits - 1.0))
 
 
 class TestBlockBootstrap:

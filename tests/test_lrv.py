@@ -110,6 +110,17 @@ class TestBlockLengthSelection:
         with pytest.raises(ValueError, match="empty"):
             select_block_length(120, k_grid=[])
 
+    @pytest.mark.parametrize("grid", [[10.0], [True, 10], [10, "12"], [10, 12.5]])
+    def test_block_lengths_must_be_integers(self, grid):
+        with pytest.raises(ValueError, match="^k_grid: expected integer"):
+            select_block_length(120, k_grid=grid, reps=10)
+
+    def test_non_integer_block_length_rejected(self):
+        with pytest.raises(ValueError, match="^k_n: expected an integer"):
+            lrv_selfnorm(random_series(0, 120), 10.0)
+        with pytest.raises(ValueError, match="^k_n: expected an integer"):
+            lrv_stationary(random_series(0, 120), True)
+
     def test_all_infeasible_rejected(self):
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError, match="no feasible"):
