@@ -18,9 +18,9 @@ from .core import (
     DegenerateDataError, _all_equal, _centered_sums, _scan_rows, as_series, partition, row_chunks
 )
 from .inference import (
-    BootstrapDistribution, _block_draw, _check_B, _check_law, _resample, _wild_draw
+    BootstrapDistribution, _block_draw, _check_B, _check_law, _check_tau_hat, _resample, _wild_draw
 )
-from .lrv import lrv_selfnorm, lrv_stationary, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
+from .lrv import lrv_selfnorm, lrv_stationary, _tau, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
 from .rng import stream
 
 
@@ -185,8 +185,7 @@ def classical_scan(x, c: float, tau_hat: float, variant: str) -> CusumScan:
     which `_classical_stat_rows` also runs.
     """
     x = as_series(x)
-    if tau_hat <= 0:
-        raise ValueError(f"tau_hat must be positive, got {tau_hat}")
+    _check_tau_hat(tau_hat)
     _check_variant(variant)
     values = _cusum_rows(x[None], c, variant)[0] / tau_hat
     return _scan(c, _splits(x.size, c), values, variant)
@@ -268,9 +267,7 @@ def sn_statistic(x, c: float = 0.1, k_n: int = 10):
     """
     scan, xc, cs = _sn_scan_row(x, c)
     eps = _split_residual_rows(xc, cs, np.array([scan.j_hat]))[0]
-    tau = math.sqrt(lrv_selfnorm(eps, k_n).tau_sq_hat)
-    if tau == 0.0:
-        raise DegenerateDataError("degenerate residuals: zero tau estimate")
+    tau = _tau(lrv_selfnorm(eps, k_n))
     return scan.max_value / tau, scan, eps, tau
 
 
@@ -281,7 +278,6 @@ def classical_statistic(x, c: float, k_n: int, variant: str) -> float:
     """
     x = as_series(x)
     _check_variant(variant)
-    partition(x.size, k_n)
     stats, ok = _classical_stat_rows(x[None], c, k_n, variant)
     if not ok[0]:
         raise DegenerateDataError("degenerate series: zero stationary tau estimate")
@@ -331,7 +327,7 @@ def classical_test(
     The series is centered at its global mean (null-imposed centering),
     block-resampled, and the statistic recomputed with each replicate's
     own stationary tau estimate. A constant series, whatever its value,
-    reports statistic 0 and p-value 1 by convention.
+    reports statistic 0 and p-value 1 by convention. A zero tau_hat raises (`lrv._tau`).
     """
     x = as_series(x)
     _check_B(B)
@@ -341,14 +337,11 @@ def classical_test(
         j = _splits(n, c)
         scan, tau, out = _scan(c, j, np.zeros(j.size), variant), 0.0, np.zeros(0)
     else:
-        tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
-        if tau == 0.0:
-            raise DegenerateDataError("degenerate series: zero stationary tau estimate")
+        tau = _tau(lrv_stationary(x, k_n))
         scan = classical_scan(x, c, tau, variant)
         draw = _block_draw(stream(seed, "classical-test", variant), x - x.mean(), k_n)
-        out = _resample(
-            B, n // k_n * k_n, draw, lambda xb: _classical_stat_rows(xb, c, k_n, variant)
-        )
+        covered = partition(n, k_n).covered
+        out = _resample(B, covered, draw, lambda xb: _classical_stat_rows(xb, c, k_n, variant))
     return _report(variant, scan.max_value, scan, tau, k_n, out, B, seed)
 
 

@@ -39,6 +39,12 @@ def as_series(x) -> np.ndarray:
     return arr
 
 
+def _check_int(name: str, value) -> None:
+    """Raise ValueError naming the argument unless value is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Non-overlapping partition of 1..n into l_n blocks of length k_n.
@@ -63,8 +69,8 @@ class BlockPartition:
         return [((j - 1) * k + 1, j * k) for j in range(1, self.l_n + 1)]
 
     def view(self, x: np.ndarray) -> np.ndarray:
-        """Reshape the block-covered prefix of x into an (l_n, k_n) matrix."""
-        return x[: self.covered].reshape(self.l_n, self.k_n)
+        """The blocks of x's last axis, (..., n) to (..., l_n, k_n); the remainder is dropped."""
+        return x[..., : self.covered].reshape(*x.shape[:-1], self.l_n, self.k_n)
 
 
 @dataclass(frozen=True)
@@ -79,12 +85,11 @@ class SegmentStats:
 def partition(n: int, k_n: int) -> BlockPartition:
     """Divide 1..n into floor(n/k_n) disjoint blocks of exact length k_n.
 
-    The boundary remainder is ignored. Raises ValueError when k_n is not an
-    integer (a bool is not), and InsufficientBlocksError when fewer than two
-    blocks fit.
+    The one place blocks are cut (`view`) and counted; the remainder is ignored.
+    Raises ValueError when k_n is not an integer (a bool is not), and
+    InsufficientBlocksError when fewer than two blocks fit.
     """
-    if isinstance(k_n, bool) or not isinstance(k_n, numbers.Integral):
-        raise ValueError(f"k_n: expected an integer block length, got {k_n!r}")
+    _check_int("k_n", k_n)
     if k_n < 1:
         raise InsufficientBlocksError(f"block length must be >= 1, got k_n={k_n}")
     l_n = n // k_n

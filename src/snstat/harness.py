@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .changepoint import _TESTS, trimmed_range
-from .core import DegenerateDataError, row_chunks
+from .core import DegenerateDataError, InsufficientBlocksError, _check_int, partition, row_chunks
 from .inference import _INTERVALS
 from .rng import derive_seed
 from .simgen import _PROFILE_NAMES, ErrorModel, SigmaProfile, SimModel, generate
@@ -68,8 +68,7 @@ class ExperimentSpec:
         ints = "n replications bootstrap_samples calibration_reps change_at master_seed".split()
         checks = [(f, getattr(self, f)) for f in ints] + [("k_values", k) for k in self.k_values]
         for name, value in checks:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name}: expected an integer, got {value!r}")
+            _check_int(name, value)
         for name in ("sigma_profiles", "error_models", "k_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -84,8 +83,10 @@ class ExperimentSpec:
             if not isinstance(error, ErrorModel):
                 raise ValueError(f"error_models: expected an ErrorModel, got {error!r}")
         for k in self.k_values:
-            if k < 1 or self.n < 2 * k:
-                raise ValueError(f"infeasible cell: n={self.n} with block length k={k}")
+            try:
+                partition(self.n, k)
+            except InsufficientBlocksError:
+                raise ValueError(f"infeasible cell: n={self.n} with block length k={k}") from None
         if self.replications < 1 or self.bootstrap_samples < 1:
             raise ValueError("replications and bootstrap_samples must be >= 1")
         level = self.level

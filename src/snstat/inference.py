@@ -9,6 +9,7 @@ studentized) together with the stationarity-based asymptotic interval.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.special import ndtri
 from .core import (
     DegenerateDataError,
     _all_equal,
+    _check_int,
     as_series,
     partition,
     row_chunks,
@@ -25,10 +27,10 @@ from .core import (
 from .lrv import (
     lrv_selfnorm,
     lrv_stationary,
-    _block_means,
     _d_stationary,
     _degenerate_blocks,
     _mean_sq,
+    _tau,
 )
 from .rng import stream
 
@@ -36,6 +38,7 @@ REDRAW_FACTOR = 10  # cap on total bootstrap draws, as a multiple of B
 
 
 def _check_B(B: int) -> None:
+    _check_int("B", B)
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
 
@@ -43,6 +46,13 @@ def _check_B(B: int) -> None:
 def _check_alpha(alpha: float) -> None:
     if not 0 < alpha <= 1:  # alpha = 1 collapses the interval to the point
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+
+
+def _check_tau_hat(tau_hat: float) -> None:
+    """A supplied tau_hat must be a finite number > 0: it scales every bound."""
+    real = not isinstance(tau_hat, bool) and isinstance(tau_hat, numbers.Real)
+    if not (real and math.isfinite(tau_hat) and tau_hat > 0):
+        raise ValueError(f"tau_hat: expected a finite number > 0, got {tau_hat!r}")
 
 
 def _resample(B: int, n: int, draw, stat_rows) -> np.ndarray:
@@ -170,19 +180,18 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
     squared deviations, so it loses no digits to cancellation.
     """
     n = eps.size
-    l_n = n // k_n
-    covered = l_n * k_n
-    e_blocks = eps[:covered].reshape(l_n, k_n)
+    part = partition(n, k_n)
+    e_blocks = part.view(eps)
     e_sq = e_blocks * e_blocks
-    e_rem = eps[covered:]
+    e_rem = eps[part.covered :]
     unit = law.lower() == "rademacher"
     bq_unit = e_sq.sum(axis=1)
 
     def stat_rows(alpha):
-        a_blocks = alpha[:, :covered].reshape(-1, l_n, k_n)
+        a_blocks = part.view(alpha)
         bs = np.einsum("rlk,lk->rl", a_blocks, e_blocks)
         bq = bq_unit if unit else np.einsum("rlk,rlk,lk->rl", a_blocks, a_blocks, e_sq)
-        rem = alpha[:, covered:] * e_rem
+        rem = alpha[:, part.covered :] * e_rem
         s = bs.sum(axis=1) + rem.sum(axis=1)
         mean = s / n
         css = bq - bs * bs / k_n
@@ -206,20 +215,18 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
 
 
 def _block_draw(rng: np.random.Generator, x: np.ndarray, k_n: int):
-    """draw(rows) for `_resample`: rows of n // k_n blocks of x, with replacement.
+    """draw(rows) for `_resample`: rows of the l_n blocks of x, drawn with replacement.
 
     Only `changepoint.classical_test` draws whole series: its CUSUM needs
     every split. `block_bootstrap_mean` gathers block means instead.
     """
-    l_n = x.size // k_n
-    blocks = x[: l_n * k_n].reshape(l_n, k_n)
-    return lambda rows: blocks[rng.integers(0, l_n, (rows, l_n))].reshape(rows, -1)
+    blocks = partition(x.size, k_n).view(x)
+    return lambda rows: blocks[rng.integers(0, len(blocks), (rows, len(blocks)))].reshape(rows, -1)
 
 
 def _tau_vn(x: np.ndarray, k_n: int) -> tuple[float, float]:
     """Self-normalized tau_hat and V_n = sqrt(centered sum of squares) of x."""
-    tau = math.sqrt(lrv_selfnorm(x, k_n).tau_sq_hat)
-    return tau, math.sqrt(segment_stats(x, 1, x.size).css)
+    return _tau(lrv_selfnorm(x, k_n)), math.sqrt(segment_stats(x, 1, x.size).css)
 
 
 def sn_ci(x, alpha: float, k_n: int) -> ConfidenceInterval:
@@ -248,6 +255,8 @@ def combo_ci(
     assuming a common error process across periods.
     """
     _check_alpha(alpha)
+    if tau_hat is not None:
+        _check_tau_hat(tau_hat)
     weights = np.asarray(weights, dtype=float)
     segs = [as_series(s) for s in segments]
     if len(segs) != weights.size:
@@ -258,11 +267,7 @@ def combo_ci(
     point = 0.0
     centered = []
     for s, w in zip(segs, weights):
-        if s.size < 2 * k_n:
-            raise ValueError(
-                f"segment of length {s.size} too short for block length {k_n}"
-            )
-        partition(s.size, k_n)  # rejects k_n < 1, also when tau_hat is given
+        partition(s.size, k_n)  # two blocks per segment, also when tau_hat is given
         st = segment_stats(s, 1, s.size)
         if _all_equal(s) or st.css == 0.0:  # css underflows as in `lrv_selfnorm`
             raise DegenerateDataError("degenerate segment: zero sample variance")
@@ -270,7 +275,7 @@ def combo_ci(
         lam_sq += (w * w) / (s.size**2) * st.css
         centered.append(s - st.mean)
     if tau_hat is None:
-        tau_hat = math.sqrt(lrv_selfnorm(np.concatenate(centered), k_n).tau_sq_hat)
+        tau_hat = _tau(lrv_selfnorm(np.concatenate(centered), k_n))
     half = normal_quantile(1 - alpha / 2) * tau_hat * math.sqrt(lam_sq)
     return ConfidenceInterval(
         point - half, point + half, 1 - alpha, point, "sn", tau_hat, k_n
@@ -292,10 +297,9 @@ def wild_bootstrap_mean(
     """
     x = as_series(x)
     _check_law(law)
-    n = partition(x.size, k_n).n  # validates feasibility up front
     rng = stream(seed, "wb")
-    stat_rows = _wb_stat_rows(x - x.mean(), k_n, law)
-    out = _resample(B, n, lambda rows: _multipliers(rng, law, (rows, n)), stat_rows)
+    stat_rows = _wb_stat_rows(x - x.mean(), k_n, law)  # an infeasible k_n fails here
+    out = _resample(B, x.size, lambda rows: _multipliers(rng, law, (rows, x.size)), stat_rows)
     return BootstrapDistribution(values=out, B=B, seed=seed)
 
 
@@ -346,10 +350,10 @@ def block_bootstrap_mean(
     the values do not depend on batch size.
     """
     x = as_series(x)
-    l_n = partition(x.size, k_n).l_n
-    n_prime = l_n * k_n
-    e_star = x[:n_prime].mean()
-    block_means = _block_means(x[None], k_n)[1][0]
+    part = partition(x.size, k_n)
+    l_n = part.l_n
+    e_star = x[: part.covered].mean()
+    block_means = part.view(x).mean(axis=1)
     rng = stream(seed, "bb", studentized)
 
     def draw(rows):
@@ -357,7 +361,7 @@ def block_bootstrap_mean(
 
     def stat_rows(bm):
         means = bm.mean(axis=1)
-        xi = math.sqrt(n_prime) * (means - e_star)
+        xi = math.sqrt(part.covered) * (means - e_star)
         if not studentized:
             return xi, np.ones(xi.size, dtype=bool)
         tau_sq = _mean_sq(_d_stationary(bm, means, k_n))
@@ -381,13 +385,13 @@ def bb_ci(
 
     The studentized variant inverts the tau-scaled pivot, re-scaling by
     the stationary block tau of the original series. That tau needs two
-    blocks and is estimated first, so an infeasible k_n fails without
-    drawing.
+    blocks and must not be 0 (`lrv._tau`); it is estimated first, so an
+    infeasible k_n or a zero tau fails without drawing, in both variants.
     """
     x = as_series(x)
     _check_alpha(alpha)
     n = x.size
-    tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
+    tau = _tau(lrv_stationary(x, k_n))
     boot = block_bootstrap_mean(x, B, k_n, studentized=studentized, seed=seed)
     q_lo, q_hi = np.quantile(boot.values, [alpha / 2, 1 - alpha / 2]).tolist()
     xbar = float(x.mean())
@@ -406,7 +410,7 @@ def st_ci(x, alpha: float, k_n: int) -> ConfidenceInterval:
     x = as_series(x)
     _check_alpha(alpha)
     n = x.size
-    tau = math.sqrt(lrv_stationary(x, k_n).tau_sq_hat)
+    tau = _tau(lrv_stationary(x, k_n))
     half = normal_quantile(1 - alpha / 2) * tau / math.sqrt(n)
     xbar = float(x.mean())
     return ConfidenceInterval(xbar - half, xbar + half, 1 - alpha, xbar, "st", tau, k_n)

@@ -9,6 +9,7 @@ empirical MSE of tau_hat on i.i.d. Gaussian data.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import threading
@@ -18,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDataError, _all_equal, as_series, partition, row_chunks
+from .core import (
+    DegenerateDataError, InsufficientBlocksError, _all_equal, _check_int, as_series, partition,
+    row_chunks,
+)
 from .rng import stream
 
 SELECT_BATCH_ELEMS = 2**16  # values per batch the block-length selector draws: 512 KB
@@ -37,9 +41,7 @@ class LongRunEstimate:
 
 def _block_means(xmat: np.ndarray, k_n: int):
     """Blocks (B, l_n, k_n) of each row of a (B, n) matrix and their means (B, l_n)."""
-    b, n = xmat.shape
-    l_n = n // k_n
-    blocks = xmat[:, : l_n * k_n].reshape(b, l_n, k_n)
+    blocks = partition(xmat.shape[1], k_n).view(xmat)
     return blocks, blocks.mean(axis=2)
 
 
@@ -80,6 +82,17 @@ def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int) -> np.ndarray:
 def _mean_sq(d: np.ndarray) -> np.ndarray:
     """tau^2 of each row: the mean of its D_j^2."""
     return np.mean(d * d, axis=1)
+
+
+def _tau(est: LongRunEstimate) -> float:
+    """tau_hat of an estimate, the one way a statistic takes it; DegenerateDataError if 0.
+
+    tau^2_hat is exactly 0 when every block mean equals the overall mean: the
+    estimators return it, no statistic can use it. Rounding noise passes.
+    """
+    if est.tau_sq_hat == 0.0:
+        raise DegenerateDataError(f"degenerate data: zero {est.method} tau estimate")
+    return math.sqrt(est.tau_sq_hat)
 
 
 def _estimate(part, d_rows: np.ndarray, method: str) -> LongRunEstimate:
@@ -176,6 +189,8 @@ def select_block_length(
     in stream order and k* is picked in sorted-k order, so the results
     are the same for any CPU count.
     """
+    _check_int("n", n)
+    _check_int("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if k_grid is None:
@@ -189,10 +204,10 @@ def select_block_length(
 
     streams = {}
     for k in sorted(k_grid):
-        if k < 1 or n // k < 2:
+        try:
+            streams[k] = stream(seed, "select-k", n, partition(n, k).k_n)
+        except InsufficientBlocksError:
             warnings.warn(f"skipping infeasible block length k={k} for n={n}")
-        else:
-            streams[k] = stream(seed, "select-k", n, k)
     if not streams:
         raise ValueError(f"no feasible block length in grid for n={n}")
     batches = list(row_chunks(reps, n, SELECT_BATCH_ELEMS))

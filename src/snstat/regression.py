@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDataError, as_series, partition
+from .core import DegenerateDataError, _all_equal, as_series, partition
 from .inference import ConfidenceInterval, _check_alpha, normal_quantile
-from .lrv import LongRunEstimate
+from .lrv import LongRunEstimate, _tau
 
 EXACT_FIT_REL_TOL = 1e-12
 
@@ -27,7 +27,7 @@ class TrendFit:
     residuals: np.ndarray
     v_n0_sq: float
     v_n1_sq: float
-    x_css: float  # centered sum of squares of the data, for exact-fit checks
+    x_css: float  # centered sum of squares of the data, exactly 0 if constant
 
     @property
     def n(self) -> int:
@@ -55,13 +55,19 @@ def fit_trend(x) -> TrendFit:
         residuals=resid,
         v_n0_sq=float(np.sum(w0 * w0 * resid * resid)),
         v_n1_sq=float(np.sum(w1 * w1 * resid * resid)),
-        x_css=float(np.sum((x - x.mean()) ** 2)),
+        x_css=0.0 if _all_equal(x) else float(np.sum((x - x.mean()) ** 2)),
     )
 
 
 def _check_not_exact(fit: TrendFit) -> None:
+    """Raise DegenerateDataError on a constant series or an exact line, at any scale.
+
+    A constant is decided exactly (x_css is then 0). A line is decided
+    relative to the data alone: its residual css measured 1e-31 to 1e-25 of
+    x_css at scales 1e-12 to 1e8, noise's about 1.
+    """
     r_css = float(np.sum(fit.residuals**2))
-    if r_css < EXACT_FIT_REL_TOL * max(fit.x_css, 1.0):
+    if fit.x_css == 0.0 or r_css < EXACT_FIT_REL_TOL * fit.x_css:
         raise DegenerateDataError("exact linear fit: residuals carry no variation")
 
 
@@ -102,7 +108,7 @@ def trend_ci(fit: TrendFit, which: str, alpha: float, k_n: int) -> ConfidenceInt
     _check_alpha(alpha)
     n = fit.n
     _check_not_exact(fit)
-    tau = math.sqrt(regression_lrv(fit, k_n).tau_sq_hat)
+    tau = _tau(regression_lrv(fit, k_n))
     z = normal_quantile(1 - alpha / 2)
     if which == "beta0":
         point = fit.beta0_hat

@@ -111,6 +111,12 @@ class TestClassicalScan:
         with pytest.raises(ValueError, match="variant"):
             classical_scan(random_series(0), 0.1, 1.0, "t3")
 
+    @pytest.mark.parametrize("tau_hat", [math.nan, math.inf, -1.0, "1"])
+    def test_tau_hat_must_be_finite_and_positive(self, tau_hat):
+        # nan used to return a scan of nans
+        with pytest.raises(ValueError, match="^tau_hat: expected a finite number > 0"):
+            classical_scan(random_series(0), 0.1, tau_hat, "t1")
+
     def test_tie_breaks_to_smallest_j(self):
         # symmetric tent: |S_X| peaks equally left and right of center
         x = np.concatenate([np.ones(10), -np.ones(10)])

@@ -52,6 +52,15 @@ class TestPartition:
         with pytest.raises(InsufficientBlocksError):
             partition(10, 0)
 
+    @pytest.mark.parametrize("n", [12, 14])  # no remainder, a remainder of 2
+    def test_view_of_rows_stacks_the_row_views(self, n):
+        part = partition(n, 4)
+        xmat = np.arange(3.0 * n).reshape(3, n)
+        assert part.view(xmat[0]).shape == (3, 4)
+        np.testing.assert_array_equal(
+            part.view(xmat), np.stack([part.view(row) for row in xmat])
+        )
+
     @pytest.mark.parametrize("k", [10.0, 2.5, True, "10", None])
     def test_block_length_must_be_an_integer(self, k):
         # 10.0 used to pass here and fail later as a slice index

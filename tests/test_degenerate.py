@@ -13,8 +13,8 @@ from snstat.changepoint import (
     classical_test, sn_scan, sn_statistic, sn_test, variance_change_test
 )
 from snstat.core import DegenerateDataError
-from snstat.inference import combo_ci, sn_ci, wb_ci
-from snstat.lrv import _d_selfnorm_rows, _tau_sq_selfnorm_rows, lrv_selfnorm
+from snstat.inference import bb_ci, combo_ci, sn_ci, st_ci, wb_ci
+from snstat.lrv import _d_selfnorm_rows, _tau_sq_selfnorm_rows, lrv_selfnorm, lrv_stationary
 
 VALUES = [0.1, 0.3, 1 / 3, 2 / 3, 0.01, 123.456, 0.5, 3.0]
 
@@ -134,3 +134,41 @@ def test_classical_test_chunk_invariant(monkeypatch, variant):
     small = classical_test(x, 0.1, 25, B=1000, variant=variant)
     np.testing.assert_array_equal(small.bootstrap.values, default.bootstrap.values)
     assert small.p_value == default.p_value
+
+
+# Every block holds whole (v, -v) pairs, so every block mean equals the
+# overall mean and both estimates are exactly 0.
+ZERO_TAU = {
+    "tile12": (np.tile([0.1, -0.1, 0.3, -0.3], 3), 6),
+    "tile120": (np.tile([0.1, -0.1, 0.3, -0.3], 30), 6),
+    "pm1": (np.tile([1.0, -1.0], 60), 2),
+}
+
+ZERO_TAU_CALLS = {
+    "sn_ci": (lambda x, k: sn_ci(x, 0.05, k), "selfnorm"),
+    "wb_ci": (lambda x, k: wb_ci(x, 0.05, k, B=50), "selfnorm"),
+    "st_ci": (lambda x, k: st_ci(x, 0.05, k), "stationary"),
+    "bb_ci": (lambda x, k: bb_ci(x, 0.05, k, B=50), "stationary"),
+    "sbb_ci": (lambda x, k: bb_ci(x, 0.05, k, B=50, studentized=True), "stationary"),
+    "combo_ci": (lambda x, k: combo_ci([x], [1.0], 0.05, k), "selfnorm"),
+    "t1": (lambda x, k: classical_test(x, 0.1, k, B=50, variant="t1"), "stationary"),
+    "t2": (lambda x, k: classical_test(x, 0.1, k, B=50, variant="t2"), "stationary"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_TAU))
+@pytest.mark.parametrize("entry", sorted(ZERO_TAU_CALLS))
+def test_zero_tau_raises(entry, case):
+    # each used to give the interval [0.0, 0.0], hit the redraw cap, or (t1,
+    # t2) raise from a check of its own
+    call, estimator = ZERO_TAU_CALLS[entry]
+    x, k = ZERO_TAU[case]
+    with pytest.raises(DegenerateDataError, match=f"zero {estimator} tau estimate"):
+        call(x, k)
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_TAU))
+def test_estimators_return_the_exact_zero(case):
+    x, k = ZERO_TAU[case]
+    assert lrv_selfnorm(x, k).tau_sq_hat == 0.0
+    assert lrv_stationary(x, k).tau_sq_hat == 0.0

@@ -105,8 +105,14 @@ class TestComboCi:
             combo_ci([[0.0, 1.0], [0.0, 1.0]], [0.0, 0.0], 0.05, 1)
 
     def test_short_segment_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ValueError, match="insufficient blocks"):
             combo_ci([random_series(0, 10)], [1.0], 0.05, 8)
+
+    @pytest.mark.parametrize("tau_hat", [-1.0, 0.0, math.nan, math.inf, -math.inf, True, "1"])
+    def test_supplied_tau_hat_must_be_finite_and_positive(self, tau_hat):
+        # -1.0 used to give lower > upper, nan nan bounds, inf (-inf, inf)
+        with pytest.raises(ValueError, match="^tau_hat: expected a finite number > 0"):
+            combo_ci([random_series(0, 40)], [1.0], 0.05, 5, tau_hat=tau_hat)
 
     def test_block_length_checked_with_tau_given(self):
         with pytest.raises(InsufficientBlocksError, match="block length must be >= 1"):
@@ -186,6 +192,22 @@ class TestWildBootstrap:
     def test_b_must_be_positive(self):
         with pytest.raises(ValueError, match="B"):
             wild_bootstrap_mean(random_series(0), 0, 8)
+
+    @pytest.mark.parametrize("B", [10.5, np.float64(5), True, "10"])
+    def test_b_must_be_an_integer(self, B):
+        # a float used to fail as a NumPy TypeError, a bool to run one replicate
+        x = random_series(0, 60)
+        for call in (
+            lambda: wb_ci(x, 0.05, 10, B=B),
+            lambda: bb_ci(x, 0.05, 10, B=B),
+            lambda: bb_ci(x, 0.05, 10, B=B, studentized=True),
+        ):
+            with pytest.raises(ValueError, match="^B: expected an integer"):
+                call()
+
+    def test_numpy_integer_b_accepted(self):
+        x = random_series(0, 60)
+        assert wb_ci(x, 0.05, 10, B=np.int64(30)) == wb_ci(x, 0.05, 10, B=30)
 
     def test_degenerate_data_hits_redraw_cap(self):
         with pytest.raises(DegenerateDataError, match="redraw cap"):

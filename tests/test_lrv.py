@@ -115,6 +115,16 @@ class TestBlockLengthSelection:
         with pytest.raises(ValueError, match="^k_grid: expected integer"):
             select_block_length(120, k_grid=grid, reps=10)
 
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [("n", {"n": 40.0}), ("n", {"n": True}), ("reps", {"reps": 2.5}), ("reps", {"reps": True})],
+    )
+    def test_n_and_reps_must_be_integers(self, name, kwargs):
+        # floats used to fail as TypeErrors, and reps=True ran one replicate
+        args = {"n": 40, "k_grid": [5, 10], "reps": 10, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+            select_block_length(**args)
+
     def test_non_integer_block_length_rejected(self):
         with pytest.raises(ValueError, match="^k_n: expected an integer"):
             lrv_selfnorm(random_series(0, 120), 10.0)

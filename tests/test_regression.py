@@ -10,6 +10,9 @@ def random_series(seed, n=64):
     return np.random.default_rng(seed).normal(size=n)
 
 
+SCALES = [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8]
+
+
 class TestFitTrend:
     def test_constant_series(self):
         fit = fit_trend(np.full(10, 3.7))
@@ -133,6 +136,31 @@ class TestTrendCi:
             ci = trend_ci(fit, which, 0.05, 10)
             assert ci.point == pytest.approx(point)
             assert ci.upper - ci.point == pytest.approx(ci.point - ci.lower, rel=1e-12)
+
+    # noise at 1e-8 used to fail as an exact fit: the check had an absolute floor
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_noise_at_any_scale(self, scale):
+        fit = fit_trend(scale * random_series(1, 120))
+        base = fit_trend(random_series(1, 120))
+        for which in ("beta0", "beta1"):
+            ci = trend_ci(fit, which, 0.05, 10)
+            width = trend_ci(base, which, 0.05, 10)
+            assert ci.upper - ci.lower == pytest.approx(
+                scale * (width.upper - width.lower), rel=1e-9
+            )
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("v", [0.1, 1 / 3, 123.456])
+    def test_constant_raises_at_any_scale(self, scale, v):
+        with pytest.raises(DegenerateDataError, match="exact linear fit"):
+            trend_ci(fit_trend(np.full(120, scale * v)), "beta0", 0.05, 10)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_exact_line_raises_at_any_scale(self, scale):
+        i = np.arange(1, 121) / 120
+        for which in ("beta0", "beta1"):
+            with pytest.raises(DegenerateDataError, match="exact linear fit"):
+                trend_ci(fit_trend(scale * (0.3 + 1.7 * i)), which, 0.05, 10)
 
     def test_width_scales_with_data(self):
         x = random_series(3, 120)
