@@ -333,6 +333,7 @@ def classical_test(
     _check_B(B)
     _check_variant(variant)
     n = x.size
+    covered = partition(n, k_n).covered  # k_n must fit, also on a constant series
     if _all_equal(x):  # a zero scan, tau 0 and no bootstrap values: p = 1
         j = _splits(n, c)
         scan, tau, out = _scan(c, j, np.zeros(j.size), variant), 0.0, np.zeros(0)
@@ -340,7 +341,6 @@ def classical_test(
         tau = _tau(lrv_stationary(x, k_n))
         scan = classical_scan(x, c, tau, variant)
         draw = _block_draw(stream(seed, "classical-test", variant), x - x.mean(), k_n)
-        covered = partition(n, k_n).covered
         out = _resample(B, covered, draw, lambda xb: _classical_stat_rows(xb, c, k_n, variant))
     return _report(variant, scan.max_value, scan, tau, k_n, out, B, seed)
 

@@ -51,6 +51,16 @@ def test_classical_test_constant_convention(variant, v):
     assert (rep.statistic, rep.p_value, rep.test) == (0.0, 1.0, variant)
 
 
+@pytest.mark.parametrize(
+    "k, error",
+    [(200, core.InsufficientBlocksError), (0, core.InsufficientBlocksError), (2.5, ValueError)],
+)
+def test_classical_test_checks_block_length_on_constant_series(k, error):
+    # the constant branch used to return p-value 1 for any k_n
+    with pytest.raises(error):
+        classical_test(np.full(120, 0.3), 0.1, k, B=50)
+
+
 def test_one_constant_block_raises():
     x = np.random.default_rng(0).normal(size=30)
     x[3:6] = 0.1  # block 2 at k = 3; its rounded css is not 0
