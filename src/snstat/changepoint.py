@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegenerateDataError, _all_equal, _centered_sums, _scan_rows, as_series, partition, row_chunks
+    DegenerateDataError, _all_equal, _centered_sums, _check_int, _is_real, _scan_rows, as_series,
+    partition, row_chunks,
 )
 from .inference import (
-    BootstrapDistribution, _block_draw, _check_B, _check_law, _check_tau_hat, _resample, _wild_draw
+    BootstrapDistribution, _block_draw, _check_law, _check_tau_hat, _resample, _wild_draw
 )
 from .lrv import lrv_selfnorm, lrv_stationary, _tau, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
 from .rng import stream
@@ -70,8 +71,8 @@ class ChangePointReport:
 
 def trimmed_range(n: int, c: float) -> tuple[int, int]:
     """Split indices [ceil(c*n), floor((1-c)*n)], clamped inside 1..n-1."""
-    if not 0 < c < 0.5:
-        raise ValueError(f"trimming fraction must be in (0, 1/2), got c={c}")
+    if not (_is_real(c) and 0 < c < 0.5):
+        raise ValueError(f"trimming fraction must be in (0, 1/2), got c={c!r}")
     j_lo = max(1, math.ceil(c * n))
     j_hi = min(n - 1, math.floor((1 - c) * n))
     if j_lo > j_hi:
@@ -330,7 +331,7 @@ def classical_test(
     reports statistic 0 and p-value 1 by convention. A zero tau_hat raises (`lrv._tau`).
     """
     x = as_series(x)
-    _check_B(B)
+    _check_int("B", B, 1)
     _check_variant(variant)
     n = x.size
     covered = partition(n, k_n).covered  # k_n must fit, also on a constant series

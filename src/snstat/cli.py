@@ -178,8 +178,6 @@ def cmd_simulate(args):
 
 def cmd_lrv(args):
     x, _labels, inputs = _load_series(args)
-    if not args.auto_k and args.blocks is None:
-        raise ValueError("either --blocks or --auto-k is required")
     k, mse = select_block_length(len(x), seed=args.seed) if args.auto_k else (args.blocks, None)
     est = (lrv_stationary if args.stationary else lrv_selfnorm)(x, k)
     results = {
@@ -325,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lrv", help="long-run variance estimate")
     add_io(sp)
-    sp.add_argument("--blocks", type=int, default=None, help="block length k_n")
-    sp.add_argument("--auto-k", action="store_true", help="select k_n by simulation")
+    k_n = sp.add_mutually_exclusive_group(required=True)
+    k_n.add_argument("--blocks", type=int, default=None, help="block length k_n")
+    k_n.add_argument("--auto-k", action="store_true", help="select k_n by simulation")
     sp.add_argument("--stationary", action="store_true", help="non-normalized variant")
 
     sp = sub.add_parser("select-k", help="simulation-based block length selection")
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", type=float)
     sp.add_argument("--lambdas", dest="lambda_grid")
     sp.add_argument("--calibration-reps", type=int)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help="worker processes to start")
     sp.add_argument("--format", choices=["json", "csv", "table"], default="json")
     add_io(sp, csv_in=False)
 

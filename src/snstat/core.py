@@ -10,6 +10,7 @@ segment indices line up with CSV row numbers.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -39,10 +40,18 @@ def as_series(x) -> np.ndarray:
     return arr
 
 
-def _check_int(name: str, value) -> None:
-    """Raise ValueError naming the argument unless value is an integer (a bool is not)."""
+def _check_int(name: str, value, low: int | None = None) -> int:
+    """value as an int; ValueError naming the argument unless an integer (not a bool) >= low."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _is_real(value) -> bool:
+    """Whether value is a finite real number: an int, a float or a NumPy number, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

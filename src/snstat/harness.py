@@ -17,8 +17,6 @@ only when there is more than one task.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -27,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .changepoint import _TESTS, trimmed_range
-from .core import DegenerateDataError, InsufficientBlocksError, _check_int, partition, row_chunks
+from .core import DegenerateDataError, InsufficientBlocksError, _check_int, _is_real
+from .core import partition, row_chunks
 from .inference import _INTERVALS
 from .rng import derive_seed
 from .simgen import _PROFILE_NAMES, ErrorModel, SigmaProfile, SimModel, generate
@@ -68,7 +67,7 @@ class ExperimentSpec:
         ints = "n replications bootstrap_samples calibration_reps change_at master_seed".split()
         checks = [(f, getattr(self, f)) for f in ints] + [("k_values", k) for k in self.k_values]
         for name, value in checks:
-            _check_int(name, value)
+            _check_int(name, value, 1 if name in ("replications", "bootstrap_samples") else None)
         for name in ("sigma_profiles", "error_models", "k_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -76,9 +75,10 @@ class ExperimentSpec:
             if not (isinstance(profile, str) and profile.lower() in _PROFILE_NAMES):
                 names = ", ".join(_PROFILE_NAMES.values())
                 raise ValueError(f"sigma_profiles: expected one of {names}, got {profile!r}")
-        # one spelling per profile: it names the cell and seeds its streams
+        # one spelling per profile and block length: it names the cell and seeds its streams
         canonical = tuple(_PROFILE_NAMES[p.lower()] for p in self.sigma_profiles)
         object.__setattr__(self, "sigma_profiles", canonical)
+        object.__setattr__(self, "k_values", tuple(map(int, self.k_values)))
         for error in self.error_models:
             if not isinstance(error, ErrorModel):
                 raise ValueError(f"error_models: expected an ErrorModel, got {error!r}")
@@ -87,18 +87,15 @@ class ExperimentSpec:
                 partition(self.n, k)
             except InsufficientBlocksError:
                 raise ValueError(f"infeasible cell: n={self.n} with block length k={k}") from None
-        if self.replications < 1 or self.bootstrap_samples < 1:
-            raise ValueError("replications and bootstrap_samples must be >= 1")
-        level = self.level
-        if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0 < level < 1:
-            raise ValueError(f"level: expected a number in (0, 1), got {level!r}")
+        if not (_is_real(self.level) and 0 < self.level < 1):
+            raise ValueError(f"level: expected a number in (0, 1), got {self.level!r}")
         if self.kind != "coverage":
             try:
                 trimmed_range(self.n, self.trim)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"trim: {exc}") from None
         for lam in self.lambda_grid:
-            if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
+            if not _is_real(lam):
                 raise ValueError(f"lambda_grid: expected finite numbers, got {lam!r}")
         if self.kind == "power":
             if not 1 <= self.change_at <= self.n - 1:
@@ -107,8 +104,7 @@ class ExperimentSpec:
                 )
             if not self.lambda_grid or 0.0 not in self.lambda_grid:
                 raise ValueError("power runs need a lambda grid including 0")
-            if self.calibration_reps < 1:
-                raise ValueError("calibration_reps must be >= 1")
+            _check_int("calibration_reps", self.calibration_reps, 1)
         known = COVERAGE_METHODS if self.kind == "coverage" else TEST_METHODS
         bad = set(m.lower() for m in self.methods) - set(known)
         if bad:
@@ -270,6 +266,7 @@ def _cells(spec: ExperimentSpec, cell: tuple, hits: np.ndarray) -> dict:
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Evaluate every cell of the spec; deterministic for any worker count."""
+    _check_int("workers", workers, 1)
     t0 = time.perf_counter()
     # each cell once: the hit counts of its ranges are added up by cell
     grid = list(dict.fromkeys(
@@ -278,7 +275,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         for error in spec.error_models
         for k in spec.k_values
     ))
-    ranges = _split(spec.replications, 1 if spec.kind == "power" else max(workers, 1))
+    ranges = _split(spec.replications, 1 if spec.kind == "power" else workers)
     tasks = [(spec, cell, r0, r1) for cell in grid for r0, r1 in ranges]
     parallel = workers > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:

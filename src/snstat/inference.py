@@ -9,7 +9,6 @@ studentized) together with the stationarity-based asymptotic interval.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .core import (
     DegenerateDataError,
     _all_equal,
     _check_int,
+    _is_real,
     as_series,
     partition,
     row_chunks,
@@ -37,21 +37,14 @@ from .rng import stream
 REDRAW_FACTOR = 10  # cap on total bootstrap draws, as a multiple of B
 
 
-def _check_B(B: int) -> None:
-    _check_int("B", B)
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
-
-
 def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha <= 1:  # alpha = 1 collapses the interval to the point
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if not (_is_real(alpha) and 0 < alpha <= 1):  # alpha = 1 collapses the interval to the point
+        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
 
 
 def _check_tau_hat(tau_hat: float) -> None:
     """A supplied tau_hat must be a finite number > 0: it scales every bound."""
-    real = not isinstance(tau_hat, bool) and isinstance(tau_hat, numbers.Real)
-    if not (real and math.isfinite(tau_hat) and tau_hat > 0):
+    if not (_is_real(tau_hat) and tau_hat > 0):
         raise ValueError(f"tau_hat: expected a finite number > 0, got {tau_hat!r}")
 
 
@@ -63,7 +56,7 @@ def _resample(B: int, n: int, draw, stat_rows) -> np.ndarray:
     `row_chunks` batches that use the generator in stream order, so memory
     does not grow with B and the values do not depend on the batch size.
     """
-    _check_B(B)
+    _check_int("B", B, 1)
     out = np.empty(B)
     filled = drawn = 0
     while filled < B:
@@ -257,16 +250,19 @@ def combo_ci(
     _check_alpha(alpha)
     if tau_hat is not None:
         _check_tau_hat(tau_hat)
-    weights = np.asarray(weights, dtype=float)
+    weights = list(weights)
+    for w in weights:
+        if not _is_real(w):
+            raise ValueError(f"weights: expected finite numbers, got {w!r}")
     segs = [as_series(s) for s in segments]
-    if len(segs) != weights.size:
+    if len(segs) != len(weights):
         raise ValueError("number of segments and weights must match")
-    if not np.any(weights != 0):
+    if not any(weights):
         raise ValueError("at least one weight must be nonzero")
     lam_sq = 0.0
     point = 0.0
     centered = []
-    for s, w in zip(segs, weights):
+    for s, w in zip(segs, map(float, weights)):
         partition(s.size, k_n)  # two blocks per segment, also when tau_hat is given
         st = segment_stats(s, 1, s.size)
         if _all_equal(s) or st.css == 0.0:  # css underflows as in `lrv_selfnorm`
@@ -276,7 +272,7 @@ def combo_ci(
         centered.append(s - st.mean)
     if tau_hat is None:
         tau_hat = _tau(lrv_selfnorm(np.concatenate(centered), k_n))
-    half = normal_quantile(1 - alpha / 2) * tau_hat * math.sqrt(lam_sq)
+    half = normal_quantile(1 - alpha / 2) * float(tau_hat) * math.sqrt(lam_sq)
     return ConfidenceInterval(
         point - half, point + half, 1 - alpha, point, "sn", tau_hat, k_n
     )
@@ -354,7 +350,7 @@ def block_bootstrap_mean(
     l_n = part.l_n
     e_star = x[: part.covered].mean()
     block_means = part.view(x).mean(axis=1)
-    rng = stream(seed, "bb", studentized)
+    rng = stream(seed, "bb", bool(studentized))
 
     def draw(rows):
         return block_means[rng.integers(0, l_n, (rows, l_n))]

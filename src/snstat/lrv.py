@@ -10,7 +10,6 @@ empirical MSE of tau_hat on i.i.d. Gaussian data.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 import warnings
@@ -190,17 +189,11 @@ def select_block_length(
     are the same for any CPU count.
     """
     _check_int("n", n)
-    _check_int("reps", reps)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if k_grid is None:
-        k_grid = default_k_grid(n)
-    k_grid = list(k_grid)
+    _check_int("reps", reps, 1)
+    k_grid = default_k_grid(n) if k_grid is None else list(k_grid)
     if not k_grid:
         raise ValueError("empty block-length grid")
-    for k in k_grid:
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise ValueError(f"k_grid: expected integer block lengths, got {k!r}")
+    k_grid = [_check_int("k_grid", k) for k in k_grid]  # one spelling: k* and the keys are int
 
     streams = {}
     for k in sorted(k_grid):

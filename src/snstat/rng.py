@@ -12,14 +12,22 @@ import hashlib
 
 import numpy as np
 
+from .core import _check_int
 
-def derive_seed(*parts) -> int:
+
+def derive_seed(seed, *coords) -> int:
     """Map (master seed, coordinates...) to a stable 64-bit stream seed.
 
-    Uses SHA-256 of the repr of the parts, so results do not depend on
-    Python's per-process hash randomization.
+    Each part is keyed by the plain value it equals: a str subclass as str, a
+    NumPy scalar as its Python value (np.int64(10) as 10, np.True_ as True),
+    so equal values name one stream whatever their type. The key is the
+    SHA-256 of the parts' reprs, free of Python's per-process hash
+    randomization. ValueError naming seed unless it is an integer, not a bool.
     """
-    key = "\x1f".join(repr(p) for p in parts).encode()
+    _check_int("seed", seed)
+    parts = [str(p) if isinstance(p, str) else p.item() if isinstance(p, np.generic) else p
+             for p in (seed, *coords)]
+    key = "\x1f".join(map(repr, parts)).encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 

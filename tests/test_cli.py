@@ -232,6 +232,23 @@ class TestExitCodes:
         assert main(["lrv", path, "--blocks", "5", flag, col]) == 3
         assert f"row 1 has no column {col}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--blocks", "10", "--auto-k"], []])
+    def test_lrv_takes_exactly_one_of_blocks_and_auto_k(self, tmp_path, capsys, flags):
+        # both used to drop --blocks silently, and neither exited 4
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(2).normal(size=60))
+        with pytest.raises(SystemExit) as exc:
+            main(["lrv", path, *flags])
+        assert exc.value.code == 2
+        assert "--blocks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_4(self, capsys, threads):
+        # these used to run serially and exit 0
+        argv = ["experiment", "--kind", "coverage", "--profiles", "A1", "--methods", "sn",
+                "--reps", "2", "--threads", threads]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith("error: workers must be >= 1")
+
     @pytest.mark.parametrize("method", ["sn", "wb", "st", "bb", "sbb"])
     def test_alpha_out_of_range_is_4(self, tmp_path, capsys, method):
         path = write_csv(tmp_path / "x.csv", np.random.default_rng(2).normal(size=60))

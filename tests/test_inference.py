@@ -20,6 +20,7 @@ from snstat.inference import (
     wild_bootstrap_mean,
 )
 from snstat.lrv import _block_means, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
+from snstat.regression import fit_trend, trend_ci
 from snstat.rng import stream
 from snstat.simgen import ErrorModel, SigmaProfile, SimModel, generate
 
@@ -487,10 +488,16 @@ def test_alpha_out_of_range_rejected(interval, alpha):
         interval(random_series(12), alpha, 8)
 
 
-@pytest.mark.parametrize("method", sorted(inference._INTERVALS))
+@pytest.mark.parametrize("method", [*sorted(inference._INTERVALS), "combo", "trend"])
 def test_interval_bounds_are_python_floats(method):
-    ci = inference._INTERVALS[method](random_series(3), 0.05, 8, 50, 0, "rademacher")
-    assert type(ci.lower) is float and type(ci.upper) is float
+    x = random_series(3)
+    if method == "combo":  # NumPy weights and a NumPy tau_hat still give floats
+        ci = combo_ci([x, x[::-1]], np.array([0.5, -0.5]), 0.05, 8, tau_hat=np.float64(1.2))
+    elif method == "trend":
+        ci = trend_ci(fit_trend(x), "beta1", 0.05, 8)
+    else:
+        ci = inference._INTERVALS[method](x, 0.05, 8, 50, 0, "rademacher")
+    assert type(ci.lower) is float and type(ci.upper) is float and type(ci.point) is float
 
 
 class TestIntervalBehavior:

@@ -112,7 +112,7 @@ class TestBlockLengthSelection:
 
     @pytest.mark.parametrize("grid", [[10.0], [True, 10], [10, "12"], [10, 12.5]])
     def test_block_lengths_must_be_integers(self, grid):
-        with pytest.raises(ValueError, match="^k_grid: expected integer"):
+        with pytest.raises(ValueError, match="^k_grid: expected an integer"):
             select_block_length(120, k_grid=grid, reps=10)
 
     @pytest.mark.parametrize(

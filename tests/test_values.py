@@ -1,0 +1,161 @@
+"""A number's value decides, never its type.
+
+Equal values give equal results, whether they come as Python or NumPy
+scalars, and a value of the wrong kind fails with a ValueError that names
+the argument.
+"""
+
+import numpy as np
+import pytest
+
+from snstat.changepoint import (
+    classical_scan,
+    classical_test,
+    sn_scan,
+    sn_test,
+    variance_change_test,
+)
+from snstat.harness import ExperimentSpec, run_experiment
+from snstat.inference import (
+    bb_ci,
+    block_bootstrap_mean,
+    combo_ci,
+    sn_ci,
+    st_ci,
+    wb_ci,
+    wild_bootstrap_mean,
+)
+from snstat.lrv import select_block_length
+from snstat.regression import fit_trend, trend_ci
+from snstat.rng import derive_seed
+from snstat.simgen import ErrorModel
+
+
+@pytest.fixture
+def x():
+    return np.random.default_rng(0).standard_normal(120)
+
+
+# name -> call(x, seed): every resampler, keyed on its seed
+RESAMPLERS = {
+    "wb_ci": lambda x, seed: wb_ci(x, 0.05, 10, B=50, seed=seed),
+    "bb_ci": lambda x, seed: bb_ci(x, 0.05, 10, B=50, seed=seed),
+    "sbb_ci": lambda x, seed: bb_ci(x, 0.05, 10, B=50, studentized=True, seed=seed),
+    "sn_test": lambda x, seed: sn_test(x, k_n=10, B=50, seed=seed),
+    "classical_test": lambda x, seed: classical_test(x, k_n=10, B=50, seed=seed),
+    "variance_change_test": lambda x, seed: variance_change_test(x, k_n=10, B=50, seed=seed),
+    "wild_bootstrap_mean": lambda x, seed: wild_bootstrap_mean(x, 50, 10, seed=seed),
+    "block_bootstrap_mean": lambda x, seed: block_bootstrap_mean(x, 50, 10, seed=seed),
+}
+
+
+def outcome(result):
+    """A comparable summary of an interval, a test report or a bootstrap distribution."""
+    if hasattr(result, "to_dict"):
+        summary = result.to_dict()
+        if hasattr(result, "bootstrap"):
+            summary["values"] = result.bootstrap.values.tolist()
+        return summary
+    return result.values.tolist()
+
+
+class TestEqualValuesEqualResults:
+    def test_derive_seed_keys_parts_by_value(self):
+        plain = derive_seed(7, "boot", "sn", True, 10)
+        assert plain == 2191426147291735241  # the repr-keyed value of the plain parts
+        assert derive_seed(np.int64(7), np.str_("boot"), "sn", np.True_, np.int32(10)) == plain
+        assert derive_seed(7, "boot", "sn", 1, 10) != plain  # 1 is not True
+
+    @pytest.mark.parametrize("name", sorted(RESAMPLERS))
+    def test_numpy_integer_seed_draws_the_int_seed_stream(self, x, name):
+        call = RESAMPLERS[name]
+        assert outcome(call(x, np.int64(1))) == outcome(call(x, 1))
+
+    def test_numpy_string_variant(self, x):
+        expected = outcome(classical_test(x, k_n=10, B=50, variant="t1", seed=3))
+        assert outcome(classical_test(x, k_n=10, B=50, variant=np.str_("t1"), seed=3)) == expected
+
+    @pytest.mark.parametrize("flag", [np.True_, 1])
+    def test_studentized_flag_by_truth_value(self, x, flag):
+        expected = outcome(bb_ci(x, 0.05, 10, B=50, studentized=True, seed=2))
+        assert outcome(bb_ci(x, 0.05, 10, B=50, studentized=flag, seed=2)) == expected
+
+    def test_select_block_length_numpy_grid_and_n(self):
+        expected = select_block_length(120, k_grid=list(range(8, 13)), reps=200)
+        for n, grid in [(120, np.arange(8, 13)), (np.int64(120), list(range(8, 13)))]:
+            k, table = select_block_length(n, k_grid=grid, reps=200)
+            assert (k, table) == expected
+            assert type(k) is int and all(type(key) is int for key in table)
+
+    def test_coverage_cell_numpy_block_length(self):
+        def rows(k):
+            spec = ExperimentSpec(
+                kind="coverage", sigma_profiles=("A2",), error_models=(ErrorModel("b1", 0.4),),
+                k_values=(k,), methods=("wb",), replications=40, bootstrap_samples=100,
+            )
+            return run_experiment(spec).to_rows()
+
+        got = rows(np.int32(10))
+        assert got == rows(10)
+        assert type(got[0]["k_n"]) is int
+
+
+BAD_SEEDS = [1.0, 1.5, True, None, "1"]
+
+
+class TestBadValuesFailLoudly:
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    @pytest.mark.parametrize("name", sorted(RESAMPLERS))
+    def test_resampler_seed_must_be_an_integer(self, x, name, seed):
+        with pytest.raises(ValueError, match="^seed: expected an integer"):
+            RESAMPLERS[name](x, seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_select_block_length_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed: expected an integer"):
+            select_block_length(60, k_grid=[5, 10], reps=10, seed=seed)
+
+    @pytest.mark.parametrize("alpha", [True, "0.05"])
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            sn_ci,
+            st_ci,
+            lambda x, alpha, k: wb_ci(x, alpha, k, B=20),
+            lambda x, alpha, k: bb_ci(x, alpha, k, B=20),
+            lambda x, alpha, k: combo_ci([x], [1.0], alpha, k),
+            lambda x, alpha, k: trend_ci(fit_trend(x), "beta1", alpha, k),
+        ],
+        ids=["sn", "st", "wb", "bb", "combo", "trend"],
+    )
+    def test_alpha_must_be_a_number(self, x, interval, alpha):
+        # alpha=True used to give a zero-width interval at level 0
+        with pytest.raises(ValueError, match="^alpha must be in"):
+            interval(x, alpha, 10)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: sn_scan(x, c="0.1"),
+            lambda x: sn_test(x, c="0.1", k_n=10, B=20),
+            lambda x: classical_scan(x, "0.1", 1.0, "t1"),
+            lambda x: classical_test(x, c="0.1", k_n=10, B=20),
+        ],
+        ids=["sn_scan", "sn_test", "classical_scan", "classical_test"],
+    )
+    def test_trimming_fraction_must_be_a_number(self, x, call):
+        with pytest.raises(ValueError, match="^trimming fraction must be in .*, got c='0.1'$"):
+            call(x)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), True, "1"])
+    def test_combo_weights_must_be_finite_numbers(self, x, weight):
+        # a NaN weight used to give a NaN interval, and "1" to read as 1.0
+        with pytest.raises(ValueError, match="^weights: expected finite numbers"):
+            combo_ci([x, x[::-1]], [1.0, weight], 0.05, 10)
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        # 0 and -3 used to run serially, 2.5 to fail inside NumPy as a TypeError
+        spec = ExperimentSpec(kind="coverage", methods=("sn",), replications=2)
+        with pytest.raises(ValueError, match="^workers"):
+            run_experiment(spec, workers=workers)
