@@ -93,6 +93,7 @@ def sx(x, j: int) -> float:
     """
     x = as_series(x)
     n = x.size
+    j = _check_int("j", j)
     if not 1 <= j <= n - 1:
         raise ValueError(f"split j={j} out of range 1..{n - 1}")
     return float(_sx_rows(_centered_sums(x[None])[2], np.array([j]))[0, 0])

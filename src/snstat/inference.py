@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     DegenerateDataError,
@@ -35,6 +35,7 @@ from .lrv import (
 from .rng import stream
 
 REDRAW_FACTOR = 10  # cap on total bootstrap draws, as a multiple of B
+_STANDARD_NORMAL = NormalDist()
 
 
 def _check_alpha(alpha: float) -> None:
@@ -108,8 +109,13 @@ class BootstrapDistribution:
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile (scipy's inverse CDF)."""
-    return float(ndtri(p))
+    """Standard normal quantile for p in [0, 1]: -inf at 0 and inf at 1, as SciPy's ndtri.
+
+    Within 2e-15 relative of ndtri on (0, 1); any other p, NaN included, raises a ValueError.
+    """
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must be in [0, 1], got {p!r}")
+    return float(_STANDARD_NORMAL.inv_cdf(p)) if 0 < p < 1 else math.copysign(math.inf, p - 0.5)
 
 
 SIGN_SLICE = 2**16  # values per slice `_rademacher` maps in place: 512 KB, cache-resident

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _check_int
+
 DEFAULT_BURN_IN = 1000
 _TRUNCATION_TOL = 1e-10
 _TRUNCATION_CAP = 100_000
@@ -54,8 +56,7 @@ def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray
     A4: 0.3 + phi(i / 60), phi the standard normal density (the divisor 60
         is fixed, independent of n).
     """
-    if n < 1:
-        raise ValueError(f"profile length must be >= 1, got n={n}")
+    n = _check_int("n", n, 1)
     if kind.lower() == "custom":
         sig = np.asarray(custom, dtype=float)
         if sig.size != n:
@@ -70,12 +71,17 @@ def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray
     return sig
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of an integer seed; every simgen draw starts here."""
+    return np.random.default_rng(_check_int("seed", seed))
+
+
 # kind -> (parameter its label carries, draw(model, n, seed)); the draws name
 # gen_b1 and gen_b2 at call time, so a wrapper installed on the module is seen
 _ERROR_KINDS = {
     "b1": ("theta", lambda m, n, seed: gen_b1(n, m.theta, seed, burn_in=m.burn_in)),
     "b2": ("beta", lambda m, n, seed: gen_b2(n, m.beta, seed)),
-    "iid": (None, lambda m, n, seed: np.random.default_rng(seed).standard_normal(n)),
+    "iid": (None, lambda m, n, seed: _rng(seed).standard_normal(_check_int("n", n, 1))),
 }
 
 
@@ -131,10 +137,8 @@ def gen_b1(n: int, theta: float, seed, burn_in: int = DEFAULT_BURN_IN) -> np.nda
     """
     if abs(theta) >= 1:
         raise ValueError(f"b1 requires |theta| < 1, got theta={theta}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal(burn_in + n)
+    n, burn_in = _check_int("n", n, 1), _check_int("burn_in", burn_in, 0)
+    eps = _rng(seed).standard_normal(burn_in + n)
     if theta == 0.0:
         return eps[burn_in:].copy()
     s = math.sqrt(1.0 - theta * theta)
@@ -158,9 +162,7 @@ def b2_weights(beta: float, truncation: int | None = None) -> np.ndarray:
     if truncation is None:
         trunc = min(int(math.ceil(_TRUNCATION_TOL ** (-1.0 / beta))) , _TRUNCATION_CAP)
     else:
-        if truncation < 0:
-            raise ValueError(f"truncation must be >= 0, got {truncation}")
-        trunc = truncation
+        trunc = _check_int("truncation", truncation, 0)
     a = (np.arange(trunc + 1, dtype=float) + 1.0) ** (-beta)
     return a / math.sqrt(np.sum(a * a))
 
@@ -171,10 +173,10 @@ def gen_b2(n: int, beta: float, seed, truncation: int | None = None) -> np.ndarr
     Pre-sample innovations (indices 1-J..0) come from the same seeded
     stream, so the output is deterministic per seed.
     """
+    n = _check_int("n", n, 1)
     a = b2_weights(beta, truncation)
     J = a.size - 1
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal(n + J)
+    eps = _rng(seed).standard_normal(n + J)
     return np.convolve(eps, a, mode="valid")
 
 
@@ -199,6 +201,10 @@ class SimModel:
     mu: float = 0.0
     lam: float = 0.0
     change_at: int = 0
+
+    def __post_init__(self):
+        _check_int("n", self.n, 1)
+        _check_int("change_at", self.change_at, 0)
 
     def mean_values(self) -> np.ndarray:
         mu = np.full(self.n, self.mu)

@@ -600,6 +600,30 @@ class TestSubprocess:
         assert report["command"] == "select-k --n 60 --reps 50"
         assert proc.stderr == ""
 
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only reference; the package and its CLI must not import it
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(9).normal(size=120))
+        commands = [
+            ["ci", path, "--method", "sn", "--blocks", "10"],
+            ["ci", path, "--method", "st", "--blocks", "10"],
+            ["ci-combo", path, "--weights", "1", "--blocks", "10"],
+            ["trend", path, "--blocks", "10"],
+            ["changepoint", path, "--test", "sn", "--bootstrap", "50"],
+        ]
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
+            "import snstat, snstat.cli\n"
+            "codes = [snstat.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0]"
+
     def test_parse_error_exit_without_traceback(self, tmp_path):
         proc = self.run("lrv", str(tmp_path / "missing.csv"), "--blocks", "5")
         assert proc.returncode == 3

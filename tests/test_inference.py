@@ -42,6 +42,24 @@ class TestNormalQuantile:
     def test_symmetry(self):
         assert normal_quantile(0.1) == pytest.approx(-normal_quantile(0.9), rel=1e-12)
 
+    def test_matches_ndtri_in_both_tails(self):
+        # scipy is a test-only reference: the package draws its quantile from the standard library
+        from scipy.special import ndtri
+
+        tail = 10.0 ** -np.arange(1, 301, 0.5)
+        grid = np.concatenate([tail, np.linspace(0.01, 0.99, 197), 1 - tail[tail >= 1e-16]])
+        got = np.array([normal_quantile(float(p)) for p in grid])
+        np.testing.assert_allclose(got, ndtri(grid), rtol=2e-15, atol=0)
+
+    def test_endpoints_are_infinite(self):
+        assert normal_quantile(0.0) == -math.inf
+        assert normal_quantile(1.0) == math.inf
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="^p must be in"):
+            normal_quantile(p)
+
 
 class TestSnCi:
     def test_hand_example(self):
@@ -486,6 +504,22 @@ class TestStCi:
 def test_alpha_out_of_range_rejected(interval, alpha):
     with pytest.raises(ValueError, match="alpha must be in"):
         interval(random_series(12), alpha, 8)
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [
+        sn_ci,
+        st_ci,
+        lambda x, alpha, k: combo_ci([x], [1.0], alpha, k),
+        lambda x, alpha, k: trend_ci(fit_trend(x), "beta1", alpha, k),
+    ],
+    ids=["sn", "st", "combo", "trend"],
+)
+def test_alpha_below_double_precision_gives_whole_line(interval):
+    # 1 - alpha/2 rounds to 1.0, whose normal quantile is inf
+    ci = interval(random_series(12), 1e-17, 8)
+    assert (ci.lower, ci.upper) == (-math.inf, math.inf)
 
 
 @pytest.mark.parametrize("method", [*sorted(inference._INTERVALS), "combo", "trend"])

@@ -13,6 +13,7 @@ from snstat.changepoint import (
     classical_test,
     sn_scan,
     sn_test,
+    sx,
     variance_change_test,
 )
 from snstat.harness import ExperimentSpec, run_experiment
@@ -28,7 +29,7 @@ from snstat.inference import (
 from snstat.lrv import select_block_length
 from snstat.regression import fit_trend, trend_ci
 from snstat.rng import derive_seed
-from snstat.simgen import ErrorModel
+from snstat.simgen import ErrorModel, SigmaProfile, SimModel, b2_weights, gen_b1, gen_b2, generate
 
 
 @pytest.fixture
@@ -99,6 +100,15 @@ class TestEqualValuesEqualResults:
         assert got == rows(10)
         assert type(got[0]["k_n"]) is int
 
+    @pytest.mark.parametrize("kind", ["iid", "b1", "b2"])
+    def test_numpy_integer_seed_draws_the_int_seed_series(self, kind):
+        def series(seed):
+            error = ErrorModel(kind, theta=0.4, beta=4.0)
+            return generate(SimModel(n=np.int64(60), sigma=SigmaProfile("A1", 60), error=error,
+                                     seed=seed, lam=1.0, change_at=np.int32(30)))
+
+        np.testing.assert_array_equal(series(np.int64(3)), series(3))
+
 
 BAD_SEEDS = [1.0, 1.5, True, None, "1"]
 
@@ -159,3 +169,49 @@ class TestBadValuesFailLoudly:
         spec = ExperimentSpec(kind="coverage", methods=("sn",), replications=2)
         with pytest.raises(ValueError, match="^workers"):
             run_experiment(spec, workers=workers)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    @pytest.mark.parametrize("kind", ["iid", "b1", "b2"])
+    def test_simulation_seed_must_be_an_integer(self, kind, seed):
+        # seed=True used to draw seed 1's series, and seed=None a fresh random one
+        model = SimModel(n=20, sigma=SigmaProfile("A1", 20), error=ErrorModel(kind), seed=seed)
+        with pytest.raises(ValueError, match="^seed: expected an integer"):
+            generate(model)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("n", lambda: SimModel(n=20.0, sigma=SigmaProfile("A1", 20))),
+            ("change_at", lambda: SimModel(n=20, sigma=SigmaProfile("A1", 20), change_at=2.5)),
+            ("n", lambda: SigmaProfile("A1", 20.0).materialize()),
+            ("n", lambda: ErrorModel("iid").generate(20.0, seed=1)),
+            ("n", lambda: gen_b1(20.0, 0.4, seed=1)),
+            ("burn_in", lambda: gen_b1(20, 0.4, seed=1, burn_in=2.5)),
+            ("n", lambda: gen_b2(20.0, 4.0, seed=1)),
+            ("truncation", lambda: gen_b2(20, 4.0, seed=1, truncation=2.5)),
+            ("truncation", lambda: b2_weights(4.0, truncation=True)),
+        ],
+    )
+    def test_simulation_sizes_must_be_integers(self, name, call):
+        # each used to fail inside NumPy as a TypeError, or (True) to read as 1
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer"):
+            call()
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("n", lambda: SimModel(n=0, sigma=SigmaProfile("A1", 1))),
+            ("change_at", lambda: SimModel(n=20, sigma=SigmaProfile("A1", 20), change_at=-1)),
+            ("burn_in", lambda: gen_b1(20, 0.4, seed=1, burn_in=-1)),
+            ("truncation", lambda: b2_weights(4.0, truncation=-1)),
+        ],
+    )
+    def test_simulation_sizes_have_lower_bounds(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            call()
+
+    @pytest.mark.parametrize("j", [True, 2.5])
+    def test_cusum_split_must_be_an_integer(self, x, j):
+        # both used to fail inside NumPy with "slice indices must be integers"
+        with pytest.raises(ValueError, match="^j: expected an integer"):
+            sx(x, j)
