@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegenerateDataError, _all_equal, _centered_sums, _check_int, _is_real, _scan_rows, as_series,
-    partition, row_chunks,
+    DegenerateDataError, _all_equal, _centered_sums, _check_int, _css, _is_real, _scan_rows,
+    as_series, partition, row_chunks,
 )
-from .inference import (
-    BootstrapDistribution, _block_draw, _check_law, _check_tau_hat, _resample, _wild_draw
+from .inference import BootstrapDistribution, _check_law, _check_tau_hat, _resample, _wild_draw
+from .lrv import (
+    lrv_selfnorm, lrv_stationary, _block_css, _d_stationary, _mean_sq, _tau, _tau_sq_selfnorm_rows,
+    _tau_sq_stationary_rows,
 )
-from .lrv import lrv_selfnorm, lrv_stationary, _tau, _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
 from .rng import stream
 
 
@@ -80,9 +81,9 @@ def trimmed_range(n: int, c: float) -> tuple[int, int]:
     return j_lo, j_hi
 
 
-def _sx_rows(cs: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """S_X at the consecutive splits j of each row, from the centered prefix sums cs."""
-    out = (j / cs.shape[1]) * cs[:, -1:]  # in place: a bootstrap batch is up to 16 MB
+def _sx_rows(cs: np.ndarray, j: np.ndarray, jn: np.ndarray) -> np.ndarray:
+    """S_X at the consecutive splits j (jn = j/n) of each row, from its prefix sums cs."""
+    out = jn * cs[:, -1:]  # in place: a bootstrap batch is up to 16 MB
     return np.subtract(cs[:, j[0] - 1 : j[-1]], out, out=out)
 
 
@@ -96,12 +97,18 @@ def sx(x, j: int) -> float:
     j = _check_int("j", j)
     if not 1 <= j <= n - 1:
         raise ValueError(f"split j={j} out of range 1..{n - 1}")
-    return float(_sx_rows(_centered_sums(x[None])[2], np.array([j]))[0, 0])
+    return float(_sx_rows(_centered_sums(x[None])[2], np.array([j]), np.array([j]) / n)[0, 0])
 
 
 def _splits(n: int, c: float) -> np.ndarray:
     j_lo, j_hi = trimmed_range(n, c)
     return np.arange(j_lo, j_hi + 1)
+
+
+def _sn_splits(n: int, c: float):
+    """The trimmed splits j of the SN scan, their weights (1-j/n)^2 and (j/n)^2, and j/n."""
+    j = _splits(n, c)
+    return j, (1.0 - j / n) ** 2, (j / n) ** 2, j / n
 
 
 def _scan(c: float, j: np.ndarray, values: np.ndarray, kind: str) -> CusumScan:
@@ -118,24 +125,24 @@ def _scan(c: float, j: np.ndarray, values: np.ndarray, kind: str) -> CusumScan:
     )
 
 
-def _sn_scan_rows(xmat: np.ndarray, c: float):
-    """Self-normalized scan T(j) at the trimmed splits j of each row of a (B, n) matrix.
+def _sn_scan_rows(xmat: np.ndarray, splits):
+    """Self-normalized scan T(j) at the trimmed splits of each row of a (B, n) matrix.
 
     T(j) divides S_X(j) by the pooled prefix/suffix standard deviation
     sqrt((1-j/n)^2 V_under_j^2 + (j/n)^2 V_over_j^2). Only the trimmed
     splits are scanned, and the arithmetic runs in the buffers
-    `core._scan_rows` returns. Returns (t, pos, xc, cs): pos flags splits
-    with a positive denominator (t is 0 where it is not finite), and xc
-    and cs are the centered rows and their prefix sums.
+    `core._scan_rows` returns. splits is `_sn_splits(n, c)`, computed once
+    per call. Returns (t, pos, xc, cs): pos flags splits with a positive
+    denominator (t is 0 where it is not finite), and xc and cs are the
+    centered rows and their prefix sums.
     """
-    n = xmat.shape[1]
-    j = _splits(n, c)
+    j, w_pre, w_suf, jn = splits
     _mean, xc, cs, pre_css, suf_css = _scan_rows(xmat, j)
-    pre_css *= (1.0 - j / n) ** 2
-    suf_css *= (j / n) ** 2
+    pre_css *= w_pre
+    suf_css *= w_suf
     denom_sq = np.add(pre_css, suf_css, out=pre_css)
     pos = denom_sq > 0.0
-    t = _sx_rows(cs, j)  # S_X is shift invariant
+    t = _sx_rows(cs, j, jn)  # S_X is shift invariant
     with np.errstate(divide="ignore", invalid="ignore"):
         t /= np.sqrt(denom_sq, out=denom_sq)
     t[~np.isfinite(t)] = 0.0
@@ -145,8 +152,9 @@ def _sn_scan_rows(xmat: np.ndarray, c: float):
 def _sn_scan_row(x, c: float):
     """The B = 1 row of `_sn_scan_rows` as a CusumScan, with its xc and cs."""
     x = as_series(x)
-    t, pos, xc, cs = _sn_scan_rows(x[None], c)
-    j = _splits(x.size, c)
+    splits = _sn_splits(x.size, c)
+    t, pos, xc, cs = _sn_scan_rows(x[None], splits)
+    j = splits[0]
     if not pos.all():
         bad = int(j[np.argmin(pos[0])])
         raise DegenerateDataError(f"degenerate scan at j={bad}: zero denominator")
@@ -167,7 +175,7 @@ def _cusum_rows(xmat: np.ndarray, c: float, variant: str) -> np.ndarray:
     """|S_X(j)| at the trimmed splits of each row, over sqrt(j(1 - j/n)) for "t1"."""
     n = xmat.shape[1]
     j = _splits(n, c)
-    values = _sx_rows(_centered_sums(xmat)[2], j)
+    values = _sx_rows(_centered_sums(xmat)[2], j, j / n)
     np.abs(values, out=values)
     if variant == "t1":
         values /= np.sqrt(j * (1.0 - j / n))
@@ -226,13 +234,29 @@ def _split_residual_rows(xc, cs, j_hat: np.ndarray) -> np.ndarray:
 SN_SLICE_ELEMS = 2**14  # values per row slice of `_sn_stat_rows`: 128 KB per temporary
 
 
-def _sn_stat_slice(xmat: np.ndarray, c: float, k_n: int):
+def _in_slices(xmat: np.ndarray, stat_slice):
+    """(stats, ok) of stat_slice run on row slices of at most SN_SLICE_ELEMS values.
+
+    A slice is one row if a row is longer, so the temporaries stay bounded
+    and in cache whatever B is.
+    """
+    b, n = xmat.shape
+    stats, ok = np.empty(b), np.empty(b, dtype=bool)
+    start = 0
+    for rows in row_chunks(b, n, SN_SLICE_ELEMS):
+        part = slice(start, start + rows)
+        stats[part], ok[part] = stat_slice(xmat[part])
+        start += rows
+    return stats, ok
+
+
+def _sn_stat_slice(xmat: np.ndarray, splits, k_n: int):
     """`_sn_stat_rows` on one row slice, whose temporaries stay in cache."""
-    t, pos, xc, cs = _sn_scan_rows(xmat, c)
+    t, pos, xc, cs = _sn_scan_rows(xmat, splits)
     np.abs(t, out=t)
     i_hat = np.argmax(t, axis=1)
     max_t = t[np.arange(t.shape[0]), i_hat]
-    eps = _split_residual_rows(xc, cs, _splits(xmat.shape[1], c)[i_hat])
+    eps = _split_residual_rows(xc, cs, splits[0][i_hat])
     tau_sq, ok = _tau_sq_selfnorm_rows(eps, k_n)
     ok &= np.all(pos, axis=1) & (tau_sq > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,18 +269,94 @@ def _sn_stat_rows(xmat: np.ndarray, c: float, k_n: int):
     For each row: scan, locate the argmax split, center the two segments
     by their own means, estimate tau on the pooled residuals, and scale
     the max scan value. Returns (stats, ok) with ok flagging rows free of
-    degeneracies. The rows run in slices of at most SN_SLICE_ELEMS values
-    (one row if a row is longer), so the temporaries stay bounded and in
-    cache whatever B is; each row's values do not depend on the slicing.
+    degeneracies. The rows run in `_in_slices`, and the splits and their
+    weights are computed once per call; each row's values do not depend on
+    the slicing.
     """
-    b, n = xmat.shape
-    stats, ok = np.empty(b), np.empty(b, dtype=bool)
-    start = 0
-    for rows in row_chunks(b, n, SN_SLICE_ELEMS):
-        part = slice(start, start + rows)
-        stats[part], ok[part] = _sn_stat_slice(xmat[part], c, k_n)
-        start += rows
-    return stats, ok
+    splits = _sn_splits(xmat.shape[1], c)
+    return _in_slices(xmat, lambda part: _sn_stat_slice(part, splits, k_n))
+
+
+def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
+    """stat_rows(y) for `_resample`: `_sn_stat_rows` of each replicate y = eps * alpha.
+
+    Each row is evaluated from one prefix sum S of y. Per call: the splits
+    and their weights, and for a law with alpha^2 = 1 the prefix sums Q
+    and block sums BQ of y^2, which are eps^2's own (Gaussian weights take
+    theirs from each row). At every split the prefix and suffix css are
+    Q - S^2 / count (`core._css`), S_X(j) = S_j - (j/n) S_n, and j_hat is the
+    argmax of S_X^2 over the pooled denominator. The split means come from
+    S, each residual block sum is y's block sum (a difference of S at
+    block ends) minus the segment means, and each residual block css is
+    y's, BQ - bs^2 / k_n, by `lrv._block_css`; the block that straddles
+    j_hat is recomputed from its residuals there. No residual matrix and
+    no second centered cumsum is built.
+
+    A split css's rounding error is at most about 3 count u Q (u = 2^-53;
+    it grows like sqrt(count) in practice), as in the general kernel, which
+    runs the same formula on centered rows. A row with any split css at or
+    below 2^-16 of its Q, or NaN, where that error could be a large part of
+    the css, is evaluated by `_sn_stat_rows` instead. The rows run in
+    `_in_slices`, as in `_sn_stat_rows`.
+    """
+    n = eps.size
+    j, w_pre, w_suf, jn = _sn_splits(n, c)
+    sel = slice(j[0] - 1, j[-1])
+    part = partition(n, k_n)
+    starts = k_n * np.arange(part.l_n)  # each block's first column
+    ends = slice(k_n - 1, part.covered, k_n)  # each block's last column
+
+    def square_sums(y):
+        """Q at the splits, the suffix Q_n - Q there, and BQ of each row of y."""
+        q = y * y
+        bq = part.view(q).sum(axis=-1)
+        np.cumsum(q, axis=-1, out=q)
+        q_j = q[:, sel]
+        return q_j, q[:, -1:] - q_j, bq
+
+    unit = square_sums(eps[None]) if law.lower() == "rademacher" else None
+
+    def stat_slice(y):
+        q_j, q_suf, bq = unit if unit is not None else square_sums(y)
+        s = np.cumsum(y, axis=1)
+        s_j = s[:, sel]
+        pre = _css(q_j, s_j, j)
+        suf = s[:, -1:] - s_j
+        _css(q_suf, suf, n - j, suf)
+        bad = ~np.all((pre > 2.0**-16 * q_j) & (suf > 2.0**-16 * q_suf), axis=1)
+        pre *= w_pre
+        suf *= w_suf
+        denom_sq = np.add(pre, suf, out=pre)
+        ratio = _sx_rows(s, j, jn)
+        ratio *= ratio
+        with np.errstate(divide="ignore", invalid="ignore"):  # only in rows the bound takes
+            ratio /= denom_sq
+        rows = np.arange(y.shape[0])
+        i_hat = np.argmax(ratio, axis=1)
+        max_t = np.sqrt(ratio[rows, i_hat])
+        j_hat = j[i_hat]
+        s_hat = s[rows, j_hat - 1]
+        m_pre = (s_hat / j_hat)[:, None]
+        m_suf = ((s[:, -1] - s_hat) / (n - j_hat))[:, None]
+        before = np.clip(j_hat[:, None] - starts, 0, k_n)  # each block's values up to j_hat
+
+        def residuals(r, b):
+            cols = starts[b][:, None] + np.arange(k_n)
+            return y[r[:, None], cols] - np.where(cols < j_hat[r, None], m_pre[r], m_suf[r])
+
+        bs = np.diff(s[:, ends], axis=1, prepend=0.0)
+        straddle = (before > 0) & (before < k_n)
+        css, degenerate = _block_css(bs, bq, k_n, residuals, straddle)
+        bs -= before * m_pre + (k_n - before) * m_suf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau_sq = _mean_sq(bs / np.sqrt(css))
+            stats = max_t / np.sqrt(tau_sq)
+        ok = ~degenerate.any(axis=1) & (tau_sq > 0.0)
+        if bad.any():
+            stats[bad], ok[bad] = _sn_stat_rows(y[bad], c, k_n)
+        return stats, ok
+
+    return lambda y: _in_slices(y, stat_slice)
 
 
 def sn_statistic(x, c: float = 0.1, k_n: int = 10):
@@ -300,12 +400,15 @@ def sn_test(
     tau_hat comes from residuals centered separately on each side of the
     estimated split. Each bootstrap replicate multiplies those residuals
     by i.i.d. signs/weights and re-runs the whole pipeline, including its
-    own split estimate and tau.
+    own split estimate and tau. A replicate is evaluated from one prefix
+    sum of its values and the residuals' per-call sums of squares
+    (`_sn_wild_rows`); a row near a rounding bound runs the general
+    kernel `_sn_stat_rows`.
     """
     _check_law(law)
     statistic, scan, eps, tau = sn_statistic(x, c, k_n)
     draw = _wild_draw(stream(seed, "sn-test"), law, eps)
-    out = _resample(B, eps.size, draw, lambda xi: _sn_stat_rows(xi, c, k_n))
+    out = _resample(B, eps.size, draw, _sn_wild_rows(eps, c, k_n, law))
     return _report("sn", statistic, scan, tau, k_n, out, B, seed)
 
 
@@ -314,6 +417,43 @@ def _classical_stat_rows(xmat: np.ndarray, c: float, k_n: int, variant: str):
     tau_sq, ok = _tau_sq_stationary_rows(xmat, k_n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _cusum_rows(xmat, c, variant).max(axis=1) / np.sqrt(tau_sq), ok
+
+
+def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
+    """stat_rows(idx) for `_resample`: `_classical_stat_rows` of each block resample of xc.
+
+    Row i of idx names the l_n blocks of xc that make replicate i. Per call:
+    an (l_n, k_n) table of within-block prefix sums, the block totals and
+    the block means. A replicate's prefix sums are its blocks' rows of that
+    table plus the running total of the blocks before them, and its tau^2
+    comes from its blocks' means, so no resampled series is gathered and
+    none is summed. ok flags rows whose block means are not all equal, as
+    in `_tau_sq_stationary_rows`.
+    """
+    part = partition(xc.size, k_n)
+    blocks = part.view(xc)
+    within = np.cumsum(blocks, axis=1)
+    totals = within[:, -1]
+    means = blocks.mean(axis=1)
+    n = part.covered
+    j = _splits(n, c)
+    jn = j / n
+    scale = np.sqrt(j * (1.0 - jn))  # t1 studentizes, t2 does not
+
+    def stat_rows(idx):
+        rows = idx.shape[0]
+        s = within[idx]
+        s[:, 1:] += np.cumsum(totals[idx[:, :-1]], axis=1)[:, :, None]
+        values = _sx_rows(s.reshape(rows, n), j, jn)
+        np.abs(values, out=values)
+        if variant == "t1":
+            values /= scale
+        bm = means[idx]
+        tau_sq = _mean_sq(_d_stationary(bm, bm.mean(axis=1), k_n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return values.max(axis=1) / np.sqrt(tau_sq), ~_all_equal(bm)
+
+    return stat_rows
 
 
 def classical_test(
@@ -328,7 +468,10 @@ def classical_test(
 
     The series is centered at its global mean (null-imposed centering),
     block-resampled, and the statistic recomputed with each replicate's
-    own stationary tau estimate. A constant series, whatever its value,
+    own stationary tau estimate. A replicate is built from the drawn block
+    indices alone: its prefix sums from per-call within-block prefix sums,
+    its tau from the drawn blocks' means (`_classical_block_rows`), with no
+    resampled series gathered. A constant series, whatever its value,
     reports statistic 0 and p-value 1 by convention. A zero tau_hat raises (`lrv._tau`).
     """
     x = as_series(x)
@@ -342,8 +485,9 @@ def classical_test(
     else:
         tau = _tau(lrv_stationary(x, k_n))
         scan = classical_scan(x, c, tau, variant)
-        draw = _block_draw(stream(seed, "classical-test", variant), x - x.mean(), k_n)
-        out = _resample(B, covered, draw, lambda xb: _classical_stat_rows(xb, c, k_n, variant))
+        rng, l_n = stream(seed, "classical-test", variant), covered // k_n
+        stat_rows = _classical_block_rows(x - x.mean(), c, k_n, variant)
+        out = _resample(B, covered, lambda rows: rng.integers(0, l_n, (rows, l_n)), stat_rows)
     return _report(variant, scan.max_value, scan, tau, k_n, out, B, seed)
 
 

@@ -27,8 +27,8 @@ from .core import (
 from .lrv import (
     lrv_selfnorm,
     lrv_stationary,
+    _block_css,
     _d_stationary,
-    _degenerate_blocks,
     _mean_sq,
     _tau,
 )
@@ -170,13 +170,11 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
     with alpha^2 = 1 those are eps's own, computed once per call. No
     (rows, n) float product is built.
 
-    Block j's css is BQ_j - bs_j^2 / k_n. Its rounding error is at most
-    about 3 k_n u BQ_j (u = 2^-53), so above 2^-16 k_n BQ_j it is good to
-    3 * 2^-37 (2e-11) of itself. A block at or below that bound, or NaN, is
-    recomputed from its values in two passes and judged by
-    `lrv._degenerate_blocks`, the rule `lrv_selfnorm` raises on. V^2 is the
-    sum of the block css, the between-block term and the remainder's
-    squared deviations, so it loses no digits to cancellation.
+    Each block's css comes from bs and BQ by `lrv._block_css`: a block under
+    its rounding bound is recomputed from its values in two passes and
+    judged by `lrv._degenerate_blocks`, the rule `lrv_selfnorm` raises on.
+    V^2 is the sum of the block css, the between-block term and the
+    remainder's squared deviations, so it loses no digits to cancellation.
     """
     n = eps.size
     part = partition(n, k_n)
@@ -193,15 +191,7 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
         rem = alpha[:, part.covered :] * e_rem
         s = bs.sum(axis=1) + rem.sum(axis=1)
         mean = s / n
-        css = bq - bs * bs / k_n
-        degenerate = np.zeros(css.shape, dtype=bool)
-        redo = ~(css > (k_n * 2.0**-16) * bq)
-        if redo.any():
-            r, j = np.nonzero(redo)
-            xi = a_blocks[r, j] * e_blocks[j]
-            bm = xi.mean(axis=1)
-            css[r, j] = exact = np.sum((xi - bm[:, None]) ** 2, axis=1)
-            degenerate[r, j] = _degenerate_blocks(xi, bm, exact)
+        css, degenerate = _block_css(bs, bq, k_n, lambda r, j: a_blocks[r, j] * e_blocks[j])
         dev = bs - k_n * mean[:, None]  # k_n (block mean - mean)
         rem -= mean[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -211,16 +201,6 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
         return h, ~degenerate.any(axis=1)
 
     return stat_rows
-
-
-def _block_draw(rng: np.random.Generator, x: np.ndarray, k_n: int):
-    """draw(rows) for `_resample`: rows of the l_n blocks of x, drawn with replacement.
-
-    Only `changepoint.classical_test` draws whole series: its CUSUM needs
-    every split. `block_bootstrap_mean` gathers block means instead.
-    """
-    blocks = partition(x.size, k_n).view(x)
-    return lambda rows: blocks[rng.integers(0, len(blocks), (rows, len(blocks)))].reshape(rows, -1)
 
 
 def _tau_vn(x: np.ndarray, k_n: int) -> tuple[float, float]:

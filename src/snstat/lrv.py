@@ -62,7 +62,7 @@ def _degenerate_blocks(blocks: np.ndarray, bm: np.ndarray, css: np.ndarray) -> n
     A block is degenerate when its values are all equal or its css underflows
     to 0. An equal block's css rounds below k_n^3 u^2 bm^2 (u = 2^-53), so
     only blocks under 8 times that bound, or with a NaN css, get the exact test.
-    The wild bootstrap's block-sum kernel applies it to the blocks it recomputes.
+    The block-sum kernels apply it, through `_block_css`, to the blocks they recompute.
     """
     k_n = blocks.shape[-1]
     # scaled before it is squared, the bound overflows only past |bm| ~ 1e160
@@ -71,6 +71,29 @@ def _degenerate_blocks(blocks: np.ndarray, bm: np.ndarray, css: np.ndarray) -> n
         near = np.nonzero(degenerate)
         degenerate[near] = (css[near] == 0.0) | _all_equal(blocks[near])
     return degenerate
+
+
+def _block_css(bs: np.ndarray, bq: np.ndarray, k_n: int, values, redo=None):
+    """Centered sums of squares of blocks from their sums bs and sums of squares bq, and flags.
+
+    Block j's css is bq_j - bs_j^2 / k_n. Its rounding error is at most
+    about 3 k_n u bq_j (u = 2^-53), so above 2^-16 k_n bq_j it is good to
+    3 * 2^-37 (2e-11) of itself. A block at or below that bound, NaN, or
+    flagged in redo is recomputed from values(r, j), the (m, k_n) values of
+    the blocks at rows r and columns j, in two passes and judged by
+    `_degenerate_blocks`. Returns (css, degenerate), both shaped as bs.
+    """
+    css = bq - bs * bs / k_n
+    degenerate = np.zeros(css.shape, dtype=bool)
+    bad = ~(css > (k_n * 2.0**-16) * bq)
+    redo = bad if redo is None else bad | redo
+    if redo.any():
+        r, j = np.nonzero(redo)
+        xi = values(r, j)
+        bm = xi.mean(axis=1)
+        css[r, j] = exact = np.sum((xi - bm[:, None]) ** 2, axis=1)
+        degenerate[r, j] = _degenerate_blocks(xi, bm, exact)
+    return css, degenerate
 
 
 def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int) -> np.ndarray:

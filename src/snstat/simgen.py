@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_int
+from .core import _check_int, _is_real
 
 DEFAULT_BURN_IN = 1000
 _TRUNCATION_TOL = 1e-10
@@ -57,6 +57,8 @@ def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray
         is fixed, independent of n).
     """
     n = _check_int("n", n, 1)
+    if not _is_real(value):
+        raise ValueError(f"value: expected a finite number, got {value!r}")
     if kind.lower() == "custom":
         sig = np.asarray(custom, dtype=float)
         if sig.size != n:
@@ -135,6 +137,8 @@ def gen_b1(n: int, theta: float, seed, burn_in: int = DEFAULT_BURN_IN) -> np.nda
     cost per step; a memoryview hands the scaled innovations over one
     float at a time, so no list of n Python floats is held.
     """
+    if not _is_real(theta):
+        raise ValueError(f"theta: expected a finite number, got {theta!r}")
     if abs(theta) >= 1:
         raise ValueError(f"b1 requires |theta| < 1, got theta={theta}")
     n, burn_in = _check_int("n", n, 1), _check_int("burn_in", burn_in, 0)
@@ -157,6 +161,8 @@ def b2_weights(beta: float, truncation: int | None = None) -> np.ndarray:
     The default truncation keeps terms until the raw weight (J+1)^{-beta}
     drops below 1e-10 (capped at 1e5 terms), then renormalizes.
     """
+    if not _is_real(beta):
+        raise ValueError(f"beta: expected a finite number, got {beta!r}")
     if beta <= 0.5:
         raise ValueError(f"b2 requires beta > 1/2, got beta={beta}")
     if truncation is None:

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
-from snstat import changepoint
+from snstat import changepoint, inference
 from snstat.core import DegenerateDataError
 from snstat.changepoint import (
+    _classical_stat_rows,
     _sn_stat_rows,
     classical_scan,
     classical_test,
@@ -18,6 +21,7 @@ from snstat.changepoint import (
     trimmed_range,
     variance_change_test,
 )
+from snstat.lrv import _tau_sq_selfnorm_rows, _tau_sq_stationary_rows
 from snstat.simgen import ErrorModel, SigmaProfile, SimModel, generate
 
 
@@ -316,3 +320,116 @@ class TestVarianceChangeTest:
             null_rej += variance_change_test(null_x, k_n=10, B=199, seed=seed).p_value <= 0.05
             alt_rej += variance_change_test(alt_x, k_n=10, B=199, seed=seed).p_value <= 0.05
         assert alt_rej > null_rej
+
+
+def kernel_series(n, tile, log_level, rng):
+    """A series at level 10**log_level: +-v tiles, or noise with a growing scale."""
+    level = 10.0**log_level
+    if tile:  # +-v: blocks and splits of a replicate can repeat one value
+        return np.tile([level, -level], n)[:n]
+    return level + rng.normal(size=n) * np.linspace(1.0, 3.0, n)
+
+
+def reference_sn_rows(y, c, k_n):
+    """`_sn_stat_rows` of y, each row's two largest |T(j)|, and its tau^2."""
+    stats, ok = _sn_stat_rows(y, c, k_n)
+    splits = changepoint._sn_splits(y.shape[1], c)
+    t, _pos, xc, cs = changepoint._sn_scan_rows(y, splits)
+    t = np.abs(t)
+    j_hat = splits[0][np.argmax(t, axis=1)]
+    tau_sq = _tau_sq_selfnorm_rows(changepoint._split_residual_rows(xc, cs, j_hat), k_n)[0]
+    return stats, ok, np.sort(t, axis=1)[:, -2:], tau_sq
+
+
+def assert_rows_match(stats, ok, ref, ref_ok, compare):
+    """Identical ok flags, and stats within 1e-10 of max(1, |ref|) on ok rows in compare."""
+    np.testing.assert_array_equal(ok[compare], ref_ok[compare])
+    rows = compare & ref_ok
+    assert np.array_equal(np.isfinite(stats[rows]), np.isfinite(ref[rows]))
+    rows &= np.isfinite(ref)
+    assert np.all(np.abs(stats[rows] - ref[rows]) <= 1e-10 * np.maximum(1.0, np.abs(ref[rows])))
+
+
+def skipped_share(skipped):
+    """A coarse label for the share of rows a comparison skipped."""
+    share = skipped.mean()
+    if share in (0.0, 1.0):
+        return "none" if share == 0.0 else "all"
+    return "under 1/4" if share < 0.25 else "1/4 or more"
+
+
+class TestBootstrapKernels:
+    """The prefix-sum bootstrap kernels against the general ones on the same draws."""
+
+    @given(
+        law=st.sampled_from(["rademacher", "gaussian"]),
+        k=st.integers(min_value=2, max_value=50),
+        l_n=st.integers(min_value=2, max_value=8),
+        extra=st.integers(min_value=0, max_value=49),
+        tile=st.booleans(),
+        log_level=st.floats(min_value=0.0, max_value=8.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sn_matches_general_kernel(self, law, k, l_n, extra, tile, log_level, seed):
+        n = l_n * k + extra % k
+        rng = np.random.default_rng(seed)
+        x = kernel_series(n, tile, log_level, rng)
+        eps = x - x.mean()
+        y = eps * inference._multipliers(rng, law, (64, n))
+        ref, ref_ok, top_two, tau_sq = reference_sn_rows(y, 0.1, k)
+        stats, ok = changepoint._sn_wild_rows(eps, 0.1, k, law)(y)
+        # where the two largest scan values lie within the scan's rounding
+        # bound (3 n 2^-37 relative), the kernels may pick different splits
+        tied = top_two[:, 0] >= (1.0 - 3 * n * 2.0**-37) * top_two[:, 1]
+        # tau^2 is 0 in exact arithmetic where every residual block sum is, as
+        # with two blocks split between them: either kernel may round it to 0
+        compare = ~tied & (tau_sq > 1e-12)
+        assert_rows_match(stats, ok, ref, ref_ok, compare)
+        event(f"sn rows skipped: {skipped_share(~compare)}")
+
+    @given(
+        variant=st.sampled_from(["t1", "t2"]),
+        k=st.integers(min_value=2, max_value=50),
+        l_n=st.integers(min_value=2, max_value=8),
+        extra=st.integers(min_value=0, max_value=49),
+        tile=st.booleans(),
+        log_level=st.floats(min_value=0.0, max_value=8.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_classical_matches_general_kernel(self, variant, k, l_n, extra, tile, log_level, seed):
+        n = l_n * k + extra % k
+        rng = np.random.default_rng(seed)
+        xc = kernel_series(n, tile, log_level, rng)
+        xc = xc - xc.mean()
+        idx = rng.integers(0, l_n, (64, l_n))
+        series = xc[: l_n * k].reshape(l_n, k)[idx].reshape(64, -1)
+        ref, ref_ok = _classical_stat_rows(series, 0.1, k, variant)
+        tau_sq = _tau_sq_stationary_rows(series, k)[0]
+        stats, ok = changepoint._classical_block_rows(xc, 0.1, k, variant)(idx)
+        np.testing.assert_array_equal(ok, ref_ok)
+        assert_rows_match(stats, ok, ref, ref_ok, tau_sq > 1e-12)
+        event(f"classical rows skipped: {skipped_share(~(tau_sq > 1e-12))}")
+
+    def test_row_with_a_constant_prefix_runs_the_general_kernel(self, monkeypatch):
+        # the first 12 splits of row 0 see one repeated value: its prefix css
+        # at j = 12 is 0, under the bound, so the general kernel takes the row
+        n, k = 120, 10
+        eps = np.random.default_rng(3).normal(size=n)
+        eps[:12] = 0.7
+        alpha = inference._multipliers(np.random.default_rng(4), "rademacher", (16, n))
+        alpha[0, :12] = 1
+        y = eps * alpha
+        ref, ref_ok = _sn_stat_rows(y, 0.1, k)
+        general = []
+
+        def counting(xmat, c, k_n):
+            general.append(xmat.shape[0])
+            return _sn_stat_rows(xmat, c, k_n)
+
+        monkeypatch.setattr(changepoint, "_sn_stat_rows", counting)
+        stats, ok = changepoint._sn_wild_rows(eps, 0.1, k, "rademacher")(y)
+        assert general == [1]
+        assert stats[0] == ref[0] and ok[0] == ref_ok[0]
+        assert_rows_match(stats, ok, ref, ref_ok, np.ones(16, dtype=bool))

@@ -437,7 +437,12 @@ def whole_series_block_bootstrap(x, B, k_n, studentized, seed):
         with np.errstate(divide="ignore", invalid="ignore"):
             return xi / np.sqrt(tau_sq), np.any(bm != bm[:, :1], axis=1)
 
-    draw = inference._block_draw(stream(seed, "bb", studentized), x, k_n)
+    blocks = x[:n_prime].reshape(l_n, k_n)
+    rng = stream(seed, "bb", studentized)
+
+    def draw(rows):  # rows of l_n blocks of x, drawn with replacement
+        return blocks[rng.integers(0, l_n, (rows, l_n))].reshape(rows, -1)
+
     return inference._resample(B, n_prime, draw, stat_rows)
 
 

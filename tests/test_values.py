@@ -210,6 +210,23 @@ class TestBadValuesFailLoudly:
         with pytest.raises(ValueError, match=f"^{name} must be >= "):
             call()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "0.4"])
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("theta", lambda bad: gen_b1(5, bad, seed=1)),
+            ("theta", lambda bad: ErrorModel("b1", theta=bad).generate(5, seed=1)),
+            ("beta", lambda bad: gen_b2(5, bad, seed=1)),
+            ("beta", lambda bad: b2_weights(bad)),
+            ("value", lambda bad: SigmaProfile("constant", 3, value=bad).materialize()),
+        ],
+    )
+    def test_simulation_parameters_must_be_finite_numbers(self, name, call, bad):
+        # NaN used to give an all-NaN series (theta) or NaN sigmas (value), and to
+        # fail with "cannot convert float NaN to integer" (beta)
+        with pytest.raises(ValueError, match=f"^{name}: expected a finite number"):
+            call(bad)
+
     @pytest.mark.parametrize("j", [True, 2.5])
     def test_cusum_split_must_be_an_integer(self, x, j):
         # both used to fail inside NumPy with "slice indices must be integers"
