@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegenerateDataError, _all_equal, _centered_sums, _check_int, _css, _is_real, _scan_rows,
+    DegenerateDataError, _all_equal, _centered_sums, _check_int, _is_real, _scan_rows,
     as_series, partition, row_chunks,
 )
-from .inference import BootstrapDistribution, _check_law, _check_tau_hat, _resample, _wild_draw
+from .inference import BootstrapDistribution, _check_law, _check_tau_hat, _multipliers, _resample
 from .lrv import (
     lrv_selfnorm, lrv_stationary, _block_css, _d_stationary, _mean_sq, _tau, _tau_sq_selfnorm_rows,
     _tau_sq_stationary_rows,
@@ -278,59 +278,78 @@ def _sn_stat_rows(xmat: np.ndarray, c: float, k_n: int):
 
 
 def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
-    """stat_rows(y) for `_resample`: `_sn_stat_rows` of each replicate y = eps * alpha.
+    """stat_rows(alpha) for `_resample`: `_sn_stat_rows` of each replicate y = eps * alpha.
 
-    Each row is evaluated from one prefix sum S of y. Per call: the splits
-    and their weights, and for a law with alpha^2 = 1 the prefix sums Q
-    and block sums BQ of y^2, which are eps^2's own (Gaussian weights take
-    theirs from each row). At every split the prefix and suffix css are
-    Q - S^2 / count (`core._css`), S_X(j) = S_j - (j/n) S_n, and j_hat is the
-    argmax of S_X^2 over the pooled denominator. The split means come from
-    S, each residual block sum is y's block sum (a difference of S at
-    block ends) minus the segment means, and each residual block css is
-    y's, BQ - bs^2 / k_n, by `lrv._block_css`; the block that straddles
-    j_hat is recomputed from its residuals there. No residual matrix and
-    no second centered cumsum is built.
+    alpha is a (rows, n) multiplier batch. The rows run in `_in_slices`, as
+    in `_sn_stat_rows`, and y is formed one slice at a time, so no (rows, n)
+    product is built. Each row is evaluated from one prefix sum S of y.
 
-    A split css's rounding error is at most about 3 count u Q (u = 2^-53;
-    it grows like sqrt(count) in practice), as in the general kernel, which
-    runs the same formula on centered rows. A row with any split css at or
-    below 2^-16 of its Q, or NaN, where that error could be a large part of
-    the css, is evaluated by `_sn_stat_rows` instead. The rows run in
-    `_in_slices`, as in `_sn_stat_rows`.
+    With Q the prefix sums of y^2, the prefix and suffix css at a split j
+    are Q_j - S_j^2 / j and (Q_n - Q_j) - (S_n - S_j)^2 / (n - j), so the
+    pooled denominator is A - a S_j^2 - b (S_n - S_j)^2, with
+    A = (1-j/n)^2 Q_j + (j/n)^2 (Q_n - Q_j), a = (1-j/n)^2 / j and
+    b = (j/n)^2 / (n-j). For a law with alpha^2 = 1, Q and the block sums
+    BQ of y^2 are eps^2's own, so A and the bound limits below are computed
+    once per call; Gaussian weights compute them per row. S_X(j) is
+    S_j - (j/n) S_n, and j_hat is the argmax of S_X^2 over the denominator.
+    The split means come from S, each residual block sum is y's block sum
+    (a difference of S at block ends) minus the segment means, and each
+    residual block css is y's, BQ - bs^2 / k_n, by `lrv._block_css`; the
+    block that straddles j_hat is recomputed from its residuals there. No
+    residual matrix and no second centered cumsum is built.
+
+    A row is evaluated by `_sn_stat_rows` instead when any split css is at
+    or below 2^-16 of its Q, or NaN. The checks are S_j^2 < (1 - 2^-16) j Q_j
+    and (S_n - S_j)^2 < (1 - 2^-16) (n - j) (Q_n - Q_j), scaled by a and b:
+    two compares of the terms the denominator subtracts with limits that
+    are (1 - 2^-16) times the two parts of A. Above that bound both css
+    exceed 2^-16 of their Q, so the denominator exceeds 2^-16 A, and the
+    roundings that combine it, each within u A (u = 2^-53), add up to about
+    2^-36 of it. The cumsums S and Q add at most about 3 count u Q per css
+    (it grows like sqrt(count) in practice), as in the general kernel,
+    which runs the same formula on centered rows.
     """
     n = eps.size
     j, w_pre, w_suf, jn = _sn_splits(n, c)
     sel = slice(j[0] - 1, j[-1])
+    a, b = w_pre / j, w_suf / (n - j)
+    keep = 1.0 - 2.0**-16
     part = partition(n, k_n)
     starts = k_n * np.arange(part.l_n)  # each block's first column
     ends = slice(k_n - 1, part.covered, k_n)  # each block's last column
 
-    def square_sums(y):
-        """Q at the splits, the suffix Q_n - Q there, and BQ of each row of y."""
+    def split_constants(y):
+        """BQ of each row of y, and at the splits A and the limits of a S_j^2, b (S_n - S_j)^2."""
         q = y * y
         bq = part.view(q).sum(axis=-1)
         np.cumsum(q, axis=-1, out=q)
         q_j = q[:, sel]
-        return q_j, q[:, -1:] - q_j, bq
+        lim_pre = w_pre * q_j
+        lim_suf = np.subtract(q[:, -1:], q_j)
+        lim_suf *= w_suf
+        big_a = lim_pre + lim_suf
+        lim_pre *= keep
+        lim_suf *= keep
+        return bq, big_a, lim_pre, lim_suf
 
-    unit = square_sums(eps[None]) if law.lower() == "rademacher" else None
+    unit = split_constants(eps[None]) if law.lower() == "rademacher" else None
 
-    def stat_slice(y):
-        q_j, q_suf, bq = unit if unit is not None else square_sums(y)
+    def stat_slice(alpha):
+        y = eps * alpha
+        bq, big_a, lim_pre, lim_suf = unit if unit is not None else split_constants(y)
         s = np.cumsum(y, axis=1)
         s_j = s[:, sel]
-        pre = _css(q_j, s_j, j)
-        suf = s[:, -1:] - s_j
-        _css(q_suf, suf, n - j, suf)
-        bad = ~np.all((pre > 2.0**-16 * q_j) & (suf > 2.0**-16 * q_suf), axis=1)
-        pre *= w_pre
-        suf *= w_suf
-        denom_sq = np.add(pre, suf, out=pre)
+        pre = np.multiply(s_j, s_j)
+        pre *= a
+        suf = np.subtract(s[:, -1:], s_j)
+        suf *= suf
+        suf *= b
+        bad = ~np.all((pre < lim_pre) & (suf < lim_suf), axis=1)
+        denom = np.subtract(big_a, pre, out=pre)
+        denom -= suf
         ratio = _sx_rows(s, j, jn)
         ratio *= ratio
-        with np.errstate(divide="ignore", invalid="ignore"):  # only in rows the bound takes
-            ratio /= denom_sq
+        ratio /= denom
         rows = np.arange(y.shape[0])
         i_hat = np.argmax(ratio, axis=1)
         max_t = np.sqrt(ratio[rows, i_hat])
@@ -338,25 +357,30 @@ def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
         s_hat = s[rows, j_hat - 1]
         m_pre = (s_hat / j_hat)[:, None]
         m_suf = ((s[:, -1] - s_hat) / (n - j_hat))[:, None]
-        before = np.clip(j_hat[:, None] - starts, 0, k_n)  # each block's values up to j_hat
+        before = np.minimum(np.maximum(j_hat[:, None] - starts, 0), k_n)  # values up to j_hat
 
-        def residuals(r, b):
-            cols = starts[b][:, None] + np.arange(k_n)
+        def residuals(r, blk):
+            cols = starts[blk][:, None] + np.arange(k_n)
             return y[r[:, None], cols] - np.where(cols < j_hat[r, None], m_pre[r], m_suf[r])
 
-        bs = np.diff(s[:, ends], axis=1, prepend=0.0)
+        s_ends = s[:, ends]
+        bs = s_ends.copy()
+        np.subtract(s_ends[:, 1:], s_ends[:, :-1], out=bs[:, 1:])
         straddle = (before > 0) & (before < k_n)
         css, degenerate = _block_css(bs, bq, k_n, residuals, straddle)
         bs -= before * m_pre + (k_n - before) * m_suf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau_sq = _mean_sq(bs / np.sqrt(css))
-            stats = max_t / np.sqrt(tau_sq)
+        tau_sq = np.einsum("rl,rl->r", bs, bs / css) / part.l_n
+        stats = max_t / np.sqrt(tau_sq)
         ok = ~degenerate.any(axis=1) & (tau_sq > 0.0)
         if bad.any():
             stats[bad], ok[bad] = _sn_stat_rows(y[bad], c, k_n)
         return stats, ok
 
-    return lambda y: _in_slices(y, stat_slice)
+    def stat_rows(alpha):
+        with np.errstate(divide="ignore", invalid="ignore"):  # only in rows that are not ok
+            return _in_slices(alpha, stat_slice)
+
+    return stat_rows
 
 
 def sn_statistic(x, c: float = 0.1, k_n: int = 10):
@@ -400,15 +424,18 @@ def sn_test(
     tau_hat comes from residuals centered separately on each side of the
     estimated split. Each bootstrap replicate multiplies those residuals
     by i.i.d. signs/weights and re-runs the whole pipeline, including its
-    own split estimate and tau. A replicate is evaluated from one prefix
-    sum of its values and the residuals' per-call sums of squares
-    (`_sn_wild_rows`); a row near a rounding bound runs the general
-    kernel `_sn_stat_rows`.
+    own split estimate and tau. The multipliers are drawn in batches, as in
+    `wild_bootstrap_mean`, and handed to `_sn_wild_rows`, which forms each
+    replicate one cache-sized slice at a time and evaluates it from one
+    prefix sum of its values and per-call constants of the residuals' sums
+    of squares; a row near a rounding bound runs the general kernel
+    `_sn_stat_rows`.
     """
     _check_law(law)
     statistic, scan, eps, tau = sn_statistic(x, c, k_n)
-    draw = _wild_draw(stream(seed, "sn-test"), law, eps)
-    out = _resample(B, eps.size, draw, _sn_wild_rows(eps, c, k_n, law))
+    rng, n = stream(seed, "sn-test"), eps.size
+    stat_rows = _sn_wild_rows(eps, c, k_n, law)
+    out = _resample(B, n, lambda rows: _multipliers(rng, law, (rows, n)), stat_rows)
     return _report("sn", statistic, scan, tau, k_n, out, B, seed)
 
 

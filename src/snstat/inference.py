@@ -154,11 +154,6 @@ def _multipliers(rng: np.random.Generator, law: str, size) -> np.ndarray:
     return _check_law(law)(rng, size)
 
 
-def _wild_draw(rng: np.random.Generator, law: str, eps: np.ndarray):
-    """draw(rows) for `_resample`: eps times i.i.d. multipliers, row-wise."""
-    return lambda rows: eps * _multipliers(rng, law, (rows, eps.size))
-
-
 def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
     """stat_rows(alpha) for `_resample`: the pivot h of each row of eps * alpha.
 

@@ -376,9 +376,10 @@ class TestBootstrapKernels:
         rng = np.random.default_rng(seed)
         x = kernel_series(n, tile, log_level, rng)
         eps = x - x.mean()
-        y = eps * inference._multipliers(rng, law, (64, n))
+        alpha = inference._multipliers(rng, law, (64, n))
+        y = eps * alpha
         ref, ref_ok, top_two, tau_sq = reference_sn_rows(y, 0.1, k)
-        stats, ok = changepoint._sn_wild_rows(eps, 0.1, k, law)(y)
+        stats, ok = changepoint._sn_wild_rows(eps, 0.1, k, law)(alpha)
         # where the two largest scan values lie within the scan's rounding
         # bound (3 n 2^-37 relative), the kernels may pick different splits
         tied = top_two[:, 0] >= (1.0 - 3 * n * 2.0**-37) * top_two[:, 1]
@@ -429,7 +430,24 @@ class TestBootstrapKernels:
             return _sn_stat_rows(xmat, c, k_n)
 
         monkeypatch.setattr(changepoint, "_sn_stat_rows", counting)
-        stats, ok = changepoint._sn_wild_rows(eps, 0.1, k, "rademacher")(y)
+        stats, ok = changepoint._sn_wild_rows(eps, 0.1, k, "rademacher")(alpha)
         assert general == [1]
         assert stats[0] == ref[0] and ok[0] == ref_ok[0]
         assert_rows_match(stats, ok, ref, ref_ok, np.ones(16, dtype=bool))
+
+    @pytest.mark.parametrize("law", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("n, k", [(10, 2), (120, 10), (1200, 25)])
+    @pytest.mark.parametrize("test", [sn_test, variance_change_test])
+    def test_reports_match_general_kernel(self, monkeypatch, test, n, k, law):
+        x = kernel_series(n, False, 0.0, np.random.default_rng(n))
+        x[n // 2 :] += 1.0
+        got = test(x, 0.1, k, 200, law=law, seed=3)
+        # the same draws, each replicate y = eps * alpha run by the general kernel
+        monkeypatch.setattr(
+            changepoint,
+            "_sn_wild_rows",
+            lambda eps, c, k_n, law: lambda alpha: _sn_stat_rows(eps * alpha, c, k_n),
+        )
+        ref = test(x, 0.1, k, 200, law=law, seed=3)
+        assert (got.statistic, got.j_hat, got.p_value) == (ref.statistic, ref.j_hat, ref.p_value)
+        np.testing.assert_allclose(got.bootstrap.values, ref.bootstrap.values, rtol=1e-10)
