@@ -9,11 +9,13 @@ studentized) together with the stationarity-based asymptotic interval.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
+from . import core
 from .core import (
     DegenerateDataError,
     _all_equal,
@@ -56,21 +58,56 @@ def _resample(B: int, n: int, draw, stat_rows) -> np.ndarray:
     redrawn, up to REDRAW_FACTOR * B draws in total. Rounds run in
     `row_chunks` batches that use the generator in stream order, so memory
     does not grow with B and the values do not depend on the batch size.
+
+    A round of more than one core.CHUNK_ELEMS batch runs in batches of at
+    most CHUNK_ELEMS // 2 values, when that half budget holds a row. One
+    helper thread draws the next half batch while this thread evaluates the
+    current one, so at most two half batches, one batch's budget, are alive.
+    During such a round only the helper draws, in stream order, and
+    stat_rows never draws, so the values are the same as on one thread. The
+    helper is created at the first such round and shut down before return,
+    also on error. A round of one batch is drawn and evaluated on this
+    thread: split in two, its draw competes with the kernel for the
+    interpreter lock, and `sn_test` at n = 1 200, B = 1 000 ran slower.
     """
     _check_int("B", B, 1)
     out = np.empty(B)
     filled = drawn = 0
-    while filled < B:
-        drawn += B - filled
-        if drawn > REDRAW_FACTOR * B:
-            raise DegenerateDataError(
-                "bootstrap exceeded the redraw cap; data too degenerate"
-            )
-        for rows in row_chunks(B - filled, n):
-            values, ok = stat_rows(draw(rows))
-            good = values[ok & np.isfinite(values)]
-            out[filled : filled + good.size] = good
-            filled += good.size
+    pool = None
+
+    def keep(batch):
+        nonlocal filled
+        values, ok = stat_rows(batch)
+        good = values[ok & np.isfinite(values)]
+        out[filled : filled + good.size] = good
+        filled += good.size
+
+    try:
+        while filled < B:
+            rows = B - filled
+            drawn += rows
+            if drawn > REDRAW_FACTOR * B:
+                raise DegenerateDataError(
+                    "bootstrap exceeded the redraw cap; data too degenerate"
+                )
+            half = core.CHUNK_ELEMS // 2
+            if n <= half and rows > core.CHUNK_ELEMS // n:  # two or more batches
+                if pool is None:
+                    pool = ThreadPoolExecutor(1)
+                sizes = list(row_chunks(rows, n, half))
+                ahead = pool.submit(draw, sizes[0])
+                for size in sizes[1:]:
+                    batch = ahead.result()
+                    ahead = pool.submit(draw, size)
+                    keep(batch)
+                    del batch  # before the next draw starts: two half batches at most
+                keep(ahead.result())
+            else:
+                for size in row_chunks(rows, n):
+                    keep(draw(size))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return out
 
 
