@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegenerateDataError, _all_equal, _centered_sums, _check_int, _is_real, _scan_rows,
+    DegenerateDataError, _all_equal, _centered_sums, _check_int, _choice, _is_real, _scan_rows,
     as_series, partition, row_chunks,
 )
 from .inference import BootstrapDistribution, _check_law, _check_tau_hat, _multipliers, _resample
@@ -182,11 +182,6 @@ def _cusum_rows(xmat: np.ndarray, c: float, variant: str) -> np.ndarray:
     return values
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in ("t1", "t2"):
-        raise ValueError(f"variant must be 't1' or 't2', got {variant!r}")
-
-
 def classical_scan(x, c: float, tau_hat: float, variant: str) -> CusumScan:
     """Classical CUSUM scan: |S_X(j)| scaled by 1/tau_hat.
 
@@ -196,7 +191,7 @@ def classical_scan(x, c: float, tau_hat: float, variant: str) -> CusumScan:
     """
     x = as_series(x)
     _check_tau_hat(tau_hat)
-    _check_variant(variant)
+    variant = _choice("variant", variant, ("t1", "t2"))
     values = _cusum_rows(x[None], c, variant)[0] / tau_hat
     return _scan(c, _splits(x.size, c), values, variant)
 
@@ -332,7 +327,7 @@ def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
         lim_suf *= keep
         return bq, big_a, lim_pre, lim_suf
 
-    unit = split_constants(eps[None]) if law.lower() == "rademacher" else None
+    unit = split_constants(eps[None]) if _check_law(law)[1] else None
 
     def stat_slice(alpha):
         y = eps * alpha
@@ -403,7 +398,7 @@ def classical_statistic(x, c: float, k_n: int, variant: str) -> float:
     The B = 1 row of `_classical_stat_rows`.
     """
     x = as_series(x)
-    _check_variant(variant)
+    variant = _choice("variant", variant, ("t1", "t2"))
     stats, ok = _classical_stat_rows(x[None], c, k_n, variant)
     if not ok[0]:
         raise DegenerateDataError("degenerate series: zero stationary tau estimate")
@@ -503,7 +498,7 @@ def classical_test(
     """
     x = as_series(x)
     _check_int("B", B, 1)
-    _check_variant(variant)
+    variant = _choice("variant", variant, ("t1", "t2"))
     n = x.size
     covered = partition(n, k_n).covered  # k_n must fit, also on a constant series
     if _all_equal(x):  # a zero scan, tau 0 and no bootstrap values: p = 1

@@ -54,6 +54,16 @@ def _is_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
+def _choice(name: str, value, names) -> str:
+    """The key of names that value spells in any letter case; else a ValueError naming name."""
+    if isinstance(value, str):
+        spelled = value.lower()
+        for key in names:
+            if key.lower() == spelled:
+                return key
+    raise ValueError(f"{name}: expected one of {', '.join(names)}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Non-overlapping partition of 1..n into l_n blocks of length k_n.

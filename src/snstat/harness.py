@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .changepoint import _TESTS, trimmed_range
-from .core import DegenerateDataError, InsufficientBlocksError, _check_int, _is_real
+from .core import DegenerateDataError, InsufficientBlocksError, _check_int, _choice, _is_real
 from .core import partition, row_chunks
 from .inference import _INTERVALS
 from .rng import derive_seed
-from .simgen import _PROFILE_NAMES, ErrorModel, SigmaProfile, SimModel, generate
+from .simgen import _SIGMA_PROFILES, ErrorModel, SigmaProfile, SimModel, generate
 
 COVERAGE_METHODS = tuple(_INTERVALS)
 TEST_METHODS = tuple(_TESTS)
@@ -42,6 +42,8 @@ class ExperimentSpec:
     level is the confidence level for coverage runs and the significance
     level for size/power runs. lambda_grid and calibration_reps apply to
     power runs only; the mean shift enters after index change_at.
+    Names, in any letter case, are stored in the tables' spelling, which names
+    the cells and keys their streams; methods keeps each once, () meaning all.
     """
 
     kind: str  # "coverage", "size", "power"
@@ -60,8 +62,7 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _RANGE_HITS:
-            raise ValueError(f"unknown experiment kind: {self.kind!r}")
+        object.__setattr__(self, "kind", _choice("kind", self.kind, _RANGE_HITS))
         if self.level is None:
             object.__setattr__(self, "level", 0.95 if self.kind == "coverage" else 0.05)
         ints = "n replications bootstrap_samples calibration_reps change_at master_seed".split()
@@ -71,13 +72,9 @@ class ExperimentSpec:
         for name in ("sigma_profiles", "error_models", "k_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        for profile in self.sigma_profiles:
-            if not (isinstance(profile, str) and profile.lower() in _PROFILE_NAMES):
-                names = ", ".join(_PROFILE_NAMES.values())
-                raise ValueError(f"sigma_profiles: expected one of {names}, got {profile!r}")
-        # one spelling per profile and block length: it names the cell and seeds its streams
-        canonical = tuple(_PROFILE_NAMES[p.lower()] for p in self.sigma_profiles)
-        object.__setattr__(self, "sigma_profiles", canonical)
+        profiles = [_choice("sigma_profiles", p, _SIGMA_PROFILES) for p in self.sigma_profiles]
+        object.__setattr__(self, "sigma_profiles", tuple(profiles))
+        # one spelling per block length: it names the cell and seeds its streams
         object.__setattr__(self, "k_values", tuple(map(int, self.k_values)))
         for error in self.error_models:
             if not isinstance(error, ErrorModel):
@@ -106,14 +103,11 @@ class ExperimentSpec:
                 raise ValueError("power runs need a lambda grid including 0")
             _check_int("calibration_reps", self.calibration_reps, 1)
         known = COVERAGE_METHODS if self.kind == "coverage" else TEST_METHODS
-        bad = set(m.lower() for m in self.methods) - set(known)
-        if bad:
-            raise ValueError(f"unknown methods for kind={self.kind!r}: {sorted(bad)}")
+        methods = dict.fromkeys(_choice("methods", m, known) for m in self.methods)
+        object.__setattr__(self, "methods", tuple(methods) or known)
 
     def resolved_methods(self) -> tuple:
-        if self.methods:
-            return tuple(m.lower() for m in self.methods)
-        return COVERAGE_METHODS if self.kind == "coverage" else TEST_METHODS
+        return self.methods
 
 
 @dataclass

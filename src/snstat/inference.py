@@ -20,6 +20,7 @@ from .core import (
     DegenerateDataError,
     _all_equal,
     _check_int,
+    _choice,
     _is_real,
     as_series,
     partition,
@@ -173,22 +174,20 @@ def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
     return signs
 
 
-# law -> draw(rng, size): i.i.d. mean-zero, unit-variance wild-bootstrap multipliers
+# law -> (draw(rng, size), unit): i.i.d. mean-zero, unit-variance multipliers; unit: alpha^2 = 1
 _LAWS = {
-    "rademacher": _rademacher,
-    "gaussian": lambda rng, size: rng.standard_normal(size),
+    "rademacher": (_rademacher, True),
+    "gaussian": (lambda rng, size: rng.standard_normal(size), False),
 }
 
 
 def _check_law(law: str):
-    """The draw function of a multiplier law, in any letter case; ValueError if unknown."""
-    if law.lower() not in _LAWS:
-        raise ValueError(f"unknown multiplier law: {law!r}")
-    return _LAWS[law.lower()]
+    """The (draw, unit) entry of a multiplier law, named in any letter case."""
+    return _LAWS[_choice("law", law, _LAWS)]
 
 
 def _multipliers(rng: np.random.Generator, law: str, size) -> np.ndarray:
-    return _check_law(law)(rng, size)
+    return _check_law(law)[0](rng, size)
 
 
 def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
@@ -213,7 +212,7 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
     e_blocks = part.view(eps)
     e_sq = e_blocks * e_blocks
     e_rem = eps[part.covered :]
-    unit = law.lower() == "rademacher"
+    unit = _check_law(law)[1]
     bq_unit = e_sq.sum(axis=1)
 
     def stat_rows(alpha):
@@ -368,7 +367,9 @@ def block_bootstrap_mean(
     l_n = part.l_n
     e_star = x[: part.covered].mean()
     block_means = part.view(x).mean(axis=1)
-    rng = stream(seed, "bb", bool(studentized))
+    if not isinstance(studentized, (bool, np.bool_)):
+        raise ValueError(f"studentized: expected a bool, got {studentized!r}")
+    rng = stream(seed, "bb", studentized)
 
     def draw(rows):
         return block_means[rng.integers(0, l_n, (rows, l_n))]

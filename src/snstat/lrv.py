@@ -213,6 +213,8 @@ def select_block_length(
     """
     _check_int("n", n)
     _check_int("reps", reps, 1)
+    if not (k_grid is None or np.iterable(k_grid)):
+        raise ValueError(f"k_grid: expected a sequence of integers, got {k_grid!r}")
     k_grid = default_k_grid(n) if k_grid is None else list(k_grid)
     if not k_grid:
         raise ValueError("empty block-length grid")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDataError, _all_equal, as_series, partition
+from .core import DegenerateDataError, _all_equal, _choice, as_series, partition
 from .inference import ConfidenceInterval, _check_alpha, normal_quantile
 from .lrv import LongRunEstimate, _tau
 
@@ -98,13 +98,12 @@ def regression_lrv(fit: TrendFit, k_n: int) -> LongRunEstimate:
 
 
 def trend_ci(fit: TrendFit, which: str, alpha: float, k_n: int) -> ConfidenceInterval:
-    """Self-normalized interval for the intercept ("beta0") or slope ("beta1").
+    """Self-normalized interval for the intercept ("beta0") or slope ("beta1"), in any letter case.
 
     Half-widths are z * tau_hat * 2 V_{n,0} / n^2 and
     z * tau_hat * 6 V_{n,1} / n^2 respectively.
     """
-    if which not in ("beta0", "beta1"):
-        raise ValueError(f"which must be 'beta0' or 'beta1', got {which!r}")
+    which = _choice("which", which, ("beta0", "beta1"))
     _check_alpha(alpha)
     n = fit.n
     _check_not_exact(fit)

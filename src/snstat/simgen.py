@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_int, _is_real
+from .core import _check_int, _choice, _is_real
 
 DEFAULT_BURN_IN = 1000
 _TRUNCATION_TOL = 1e-10
@@ -36,7 +36,7 @@ class SigmaProfile:
         return sigma_values(self.kind, self.n, value=self.value, custom=self.custom)
 
 
-# profile -> sigma(i, n, value) at the indices i = 1..n, as floats; any letter case names it
+# profile -> sigma(i, n, value) at the indices i = 1..n, as floats
 _SIGMA_PROFILES = {
     "A1": lambda i, n, value: np.where(i <= n // 2, 0.2, 0.6),
     "A2": lambda i, n, value: 0.2 * (1.0 + np.cos(i / n ** 0.8) ** 2),
@@ -44,11 +44,10 @@ _SIGMA_PROFILES = {
     "A4": lambda i, n, value: 0.3 + np.exp(-0.5 * (i / 60.0) ** 2) / math.sqrt(2.0 * math.pi),
     "constant": lambda i, n, value: np.full(n, float(value)),
 }
-_PROFILE_NAMES = {name.lower(): name for name in _SIGMA_PROFILES}  # any case -> table key
 
 
 def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray:
-    """Materialize a variance profile as a length-n positive vector.
+    """Materialize a variance profile, named in any letter case, as a length-n positive vector.
 
     A1: 0.2 on the first half (i <= floor(n/2)), 0.6 after.
     A2: 0.2 * (1 + cos^2(i / n^{4/5})).
@@ -59,17 +58,16 @@ def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray
     n = _check_int("n", n, 1)
     if not _is_real(value):
         raise ValueError(f"value: expected a finite number, got {value!r}")
-    if kind.lower() == "custom":
+    kind = _choice("kind", kind, [*_SIGMA_PROFILES, "custom"])
+    if kind == "custom":
         sig = np.asarray(custom, dtype=float)
         if sig.size != n:
             raise ValueError(f"custom profile has length {sig.size}, expected {n}")
-    elif kind.lower() in _PROFILE_NAMES:
-        i = np.arange(1, n + 1, dtype=float)
-        sig = _SIGMA_PROFILES[_PROFILE_NAMES[kind.lower()]](i, n, value)
     else:
-        raise ValueError(f"unknown sigma profile kind: {kind!r}")
-    if np.any(sig <= 0):
-        raise ValueError(f"sigma profile {kind!r} contains non-positive values")
+        i = np.arange(1, n + 1, dtype=float)
+        sig = _SIGMA_PROFILES[kind](i, n, value)
+    if not np.all((sig > 0) & (sig < np.inf)):  # NaN fails both
+        raise ValueError(f"sigma profile {kind!r} contains non-positive or non-finite values")
     return sig
 
 
@@ -95,7 +93,7 @@ class ErrorModel:
     standardized by its analytic mean theta*sqrt(2/pi) and variance
     1 - 2*theta^2/pi. kind "b2": causal linear filter with weights
     a_j proportional to (j+1)^{-beta}, renormalized to unit variance.
-    kind "iid": standard Gaussians. kind is stored in lower case.
+    kind "iid": standard Gaussians. kind, in any letter case, is stored in lower case.
     """
 
     kind: str = "iid"
@@ -104,9 +102,7 @@ class ErrorModel:
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
-        if self.kind.lower() not in _ERROR_KINDS:
-            raise ValueError(f"unknown error model kind: {self.kind!r}")
-        object.__setattr__(self, "kind", self.kind.lower())
+        object.__setattr__(self, "kind", _choice("kind", self.kind, _ERROR_KINDS))
 
     def label(self) -> str:
         """The short name iid, b1:<theta> or b2:<beta>; parse() reads it back."""
@@ -115,13 +111,17 @@ class ErrorModel:
 
     @classmethod
     def parse(cls, label: str) -> ErrorModel:
-        """The model a label() names, e.g. "b1:0.4" -> ErrorModel("b1", theta=0.4)."""
+        """The model a label() names, in any letter case: "B1:0.4" is ErrorModel("b1", 0.4)."""
         token = label.strip()
         kind, colon, value = token.partition(":")
-        if kind not in _ERROR_KINDS or bool(colon) != bool(_ERROR_KINDS[kind][0]):
-            raise ValueError(f"bad error model token: {token!r}")
-        param = _ERROR_KINDS[kind][0]
-        return cls(kind, **{param: float(value)}) if param else cls(kind)
+        try:
+            model = cls(kind)
+            param = _ERROR_KINDS[model.kind][0]
+            if bool(colon) == bool(param):
+                return cls(model.kind, **{param: float(value)}) if param else model
+        except ValueError:
+            pass
+        raise ValueError(f"bad error model token: {token!r}")
 
     def generate(self, n: int, seed) -> np.ndarray:
         return _ERROR_KINDS[self.kind][1](self, n, seed)
@@ -210,7 +210,11 @@ class SimModel:
 
     def __post_init__(self):
         _check_int("n", self.n, 1)
-        _check_int("change_at", self.change_at, 0)
+        if _check_int("change_at", self.change_at, 0) > self.n:  # the shift would fall outside
+            raise ValueError(f"change_at must be <= n={self.n}, got {self.change_at}")
+        for name in ("mu", "lam"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name}: expected a finite number, got {getattr(self, name)!r}")
 
     def mean_values(self) -> np.ndarray:
         mu = np.full(self.n, self.mu)

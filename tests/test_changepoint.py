@@ -286,7 +286,7 @@ class TestClassicalTest:
         assert rep.p_value == 1.0
 
     def test_variant_checked_on_constant_series(self):
-        with pytest.raises(ValueError, match="variant must be 't1' or 't2'"):
+        with pytest.raises(ValueError, match="^variant: expected one of t1, t2, got 't3'$"):
             classical_test(np.ones(120), variant="t3")
 
     def test_p_value_bounds_and_determinism(self):

@@ -41,9 +41,13 @@ class TestSigmaProfiles:
     def test_all_positive(self, kind, n):
         assert sigma_values(kind, n).min() > 0
 
-    def test_custom_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="non-positive"):
-            sigma_values("custom", 3, custom=[1.0, 0.0, 2.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_custom_rejects_nonpositive(self, bad):
+        # NaN and inf used to pass, and `generate` then made a NaN or inf series
+        with pytest.raises(ValueError, match="non-positive or non-finite"):
+            sigma_values("custom", 3, custom=[1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="non-positive or non-finite"):
+            SigmaProfile("custom", 3, custom=(1.0, bad, 1.0)).materialize()
 
     def test_constant(self):
         np.testing.assert_array_equal(sigma_values("constant", 4, value=2.5), 2.5)
@@ -158,7 +162,7 @@ LABELLED_MODELS = [
 
 class TestErrorModel:
     def test_unknown_kind_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown error model kind: 'b3'"):
+        with pytest.raises(ValueError, match="^kind: expected one of .*, got 'b3'$"):
             ErrorModel("b3")
 
     @pytest.mark.parametrize("model", LABELLED_MODELS, ids=lambda m: m.label())
@@ -174,10 +178,18 @@ class TestErrorModel:
         assert ErrorModel("B1", theta=0.4) == ErrorModel("b1", theta=0.4)
         assert ErrorModel("IID").kind == "iid"
 
-    @pytest.mark.parametrize("token", ["b9:1", "b1", "iid:3", "B1:0.4", ""])
+    @pytest.mark.parametrize("token", ["b9:1", "b1", "iid:3", "", "b1:x", "IID:3"])
     def test_parse_rejects_bad_tokens(self, token):
-        with pytest.raises(ValueError, match="bad error model token"):
+        with pytest.raises(ValueError, match="^bad error model token"):
             ErrorModel.parse(token)
+
+    @pytest.mark.parametrize(
+        "token, model",
+        [("B1:0.4", ErrorModel("b1", theta=0.4)), ("B2:4", ErrorModel("b2", beta=4.0)),
+         ("Iid", ErrorModel("iid"))],
+    )
+    def test_parse_any_letter_case(self, token, model):
+        assert ErrorModel.parse(token) == model
 
     def test_parse_strips_whitespace(self):
         assert ErrorModel.parse(" b2:4 ") == ErrorModel("b2", beta=4.0)

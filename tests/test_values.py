@@ -1,8 +1,10 @@
-"""A number's value decides, never its type.
+"""A number's value decides, never its type, and a name's letter case does not matter.
 
 Equal values give equal results, whether they come as Python or NumPy
 scalars, and a value of the wrong kind fails with a ValueError that names
-the argument.
+the argument. A named choice (a law, a variant, a profile, a kind, a
+method) is looked up in any letter case, and results carry its table
+spelling.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 from snstat.changepoint import (
     classical_scan,
+    classical_statistic,
     classical_test,
     sn_scan,
     sn_test,
@@ -29,7 +32,16 @@ from snstat.inference import (
 from snstat.lrv import select_block_length
 from snstat.regression import fit_trend, trend_ci
 from snstat.rng import derive_seed
-from snstat.simgen import ErrorModel, SigmaProfile, SimModel, b2_weights, gen_b1, gen_b2, generate
+from snstat.simgen import (
+    ErrorModel,
+    SigmaProfile,
+    SimModel,
+    b2_weights,
+    gen_b1,
+    gen_b2,
+    generate,
+    sigma_values,
+)
 
 
 @pytest.fixture
@@ -51,7 +63,9 @@ RESAMPLERS = {
 
 
 def outcome(result):
-    """A comparable summary of an interval, a test report or a bootstrap distribution."""
+    """A comparable summary of an interval, a test report, a scan or a bootstrap distribution."""
+    if hasattr(result, "j_range"):  # a CusumScan
+        return result.kind, result.j_hat, result.values.tolist()
     if hasattr(result, "to_dict"):
         summary = result.to_dict()
         if hasattr(result, "bootstrap"):
@@ -76,10 +90,9 @@ class TestEqualValuesEqualResults:
         expected = outcome(classical_test(x, k_n=10, B=50, variant="t1", seed=3))
         assert outcome(classical_test(x, k_n=10, B=50, variant=np.str_("t1"), seed=3)) == expected
 
-    @pytest.mark.parametrize("flag", [np.True_, 1])
-    def test_studentized_flag_by_truth_value(self, x, flag):
+    def test_numpy_bool_studentized_flag(self, x):
         expected = outcome(bb_ci(x, 0.05, 10, B=50, studentized=True, seed=2))
-        assert outcome(bb_ci(x, 0.05, 10, B=50, studentized=flag, seed=2)) == expected
+        assert outcome(bb_ci(x, 0.05, 10, B=50, studentized=np.True_, seed=2)) == expected
 
     def test_select_block_length_numpy_grid_and_n(self):
         expected = select_block_length(120, k_grid=list(range(8, 13)), reps=200)
@@ -219,11 +232,14 @@ class TestBadValuesFailLoudly:
             ("beta", lambda bad: gen_b2(5, bad, seed=1)),
             ("beta", lambda bad: b2_weights(bad)),
             ("value", lambda bad: SigmaProfile("constant", 3, value=bad).materialize()),
+            ("mu", lambda bad: SimModel(n=5, sigma=SigmaProfile("A1", 5), mu=bad)),
+            ("lam", lambda bad: SimModel(n=5, sigma=SigmaProfile("A1", 5), lam=bad)),
         ],
     )
     def test_simulation_parameters_must_be_finite_numbers(self, name, call, bad):
-        # NaN used to give an all-NaN series (theta) or NaN sigmas (value), and to
-        # fail with "cannot convert float NaN to integer" (beta)
+        # NaN used to give an all-NaN series (theta, mu) or NaN sigmas (value), to
+        # fail with "cannot convert float NaN to integer" (beta), and lam="0.4" to
+        # fail inside NumPy as a UFuncTypeError
         with pytest.raises(ValueError, match=f"^{name}: expected a finite number"):
             call(bad)
 
@@ -232,3 +248,91 @@ class TestBadValuesFailLoudly:
         # both used to fail inside NumPy with "slice indices must be integers"
         with pytest.raises(ValueError, match="^j: expected an integer"):
             sx(x, j)
+
+    @pytest.mark.parametrize("change_at", [21, 100])
+    def test_change_point_must_fall_inside_the_series(self, change_at):
+        # a shift after index change_at > n used to be dropped silently
+        sigma = SigmaProfile("A1", 20)
+        with pytest.raises(ValueError, match=f"^change_at must be <= n=20, got {change_at}$"):
+            SimModel(n=20, sigma=sigma, lam=1.0, change_at=change_at)
+        last = generate(SimModel(n=20, sigma=sigma, lam=1.0, change_at=20))
+        np.testing.assert_array_equal(last, generate(SimModel(n=20, sigma=sigma)))
+
+    @pytest.mark.parametrize("k_grid", [5, 5.0, np.int64(5), "10"])
+    def test_block_length_grid_must_be_integers(self, k_grid):
+        # an int or a float used to fail with "TypeError: ... object is not iterable"
+        with pytest.raises(ValueError, match="^k_grid: expected"):
+            select_block_length(60, k_grid=k_grid, reps=10)
+
+    @pytest.mark.parametrize("flag", [1, 0, "no", None, 1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, flag: bb_ci(x, 0.05, 10, B=20, studentized=flag),
+            lambda x, flag: block_bootstrap_mean(x, 20, 10, studentized=flag),
+        ],
+        ids=["bb_ci", "block_bootstrap_mean"],
+    )
+    def test_studentized_must_be_a_bool(self, x, call, flag):
+        # "no" used to give the studentized interval, by its truth value
+        with pytest.raises(ValueError, match="^studentized: expected a bool"):
+            call(x, flag)
+
+
+def coverage_rows(**fields):
+    """The table rows of a small coverage run with the given spec fields."""
+    fields = {"kind": "coverage", "methods": ("sn",), "replications": 4, **fields}
+    return run_experiment(ExperimentSpec(**fields)).to_rows()
+
+
+# entry point -> (argument name, call(x, value), canonical spelling): every named choice
+NAMED = {
+    "wild_bootstrap_mean": ("law", lambda x, v: wild_bootstrap_mean(x, 50, 10, law=v), "gaussian"),
+    "wb_ci": ("law", lambda x, v: wb_ci(x, 0.05, 10, B=50, law=v), "gaussian"),
+    "sn_test": ("law", lambda x, v: sn_test(x, k_n=10, B=50, law=v), "rademacher"),
+    "variance_change_test": (
+        "law", lambda x, v: variance_change_test(x, k_n=10, B=50, law=v), "gaussian",
+    ),
+    "classical_scan": ("variant", lambda x, v: classical_scan(x, 0.1, 1.0, v), "t1"),
+    "classical_statistic": ("variant", lambda x, v: classical_statistic(x, 0.1, 10, v), "t2"),
+    "classical_test": (
+        "variant", lambda x, v: classical_test(x, k_n=10, B=50, variant=v, seed=3), "t1",
+    ),
+    "ErrorModel": ("kind", lambda x, v: ErrorModel(v, theta=0.4).generate(20, seed=1), "b1"),
+    "sigma_values": ("kind", lambda x, v: sigma_values(v, 20), "constant"),
+    "ExperimentSpec.kind": ("kind", lambda x, v: coverage_rows(kind=v), "coverage"),
+    "ExperimentSpec.sigma_profiles": (
+        "sigma_profiles", lambda x, v: coverage_rows(sigma_profiles=(v,)), "A2",
+    ),
+    "ExperimentSpec.methods": ("methods", lambda x, v: coverage_rows(methods=(v,)), "sbb"),
+    "trend_ci": ("which", lambda x, v: trend_ci(fit_trend(x), v, 0.05, 10), "beta1"),
+}
+
+
+def summary(result):
+    """outcome(), extended to floats, arrays and lists of table rows."""
+    if isinstance(result, (float, list)):
+        return result
+    return result.tolist() if isinstance(result, np.ndarray) else outcome(result)
+
+
+class TestNamedChoices:
+    @pytest.mark.parametrize("bad", [3, None, "bogus"])
+    @pytest.mark.parametrize("entry", sorted(NAMED))
+    def test_unknown_name_fails_naming_the_argument(self, x, entry, bad):
+        # 3 and None used to fail as AttributeErrors ("'int' object has no attribute 'lower'")
+        name, call, _canonical = NAMED[entry]
+        with pytest.raises(ValueError, match=f"^{name}: expected one of .*, got {bad!r}$"):
+            call(x, bad)
+
+    @pytest.mark.parametrize("entry", sorted(NAMED))
+    def test_any_letter_case_gives_the_canonical_result(self, x, entry):
+        _name, call, canonical = NAMED[entry]
+        assert summary(call(x, canonical.swapcase())) == summary(call(x, canonical))
+
+    def test_repeated_method_runs_once(self):
+        spec = ExperimentSpec(kind="coverage", methods=("sn", "SN"), replications=4)
+        assert spec.methods == spec.resolved_methods() == ("sn",)
+        result = run_experiment(spec)
+        assert result.to_table().splitlines()[0].split("\t") == ["profile", "error", "k_n", "sn"]
+        assert len(result.to_rows()) == 1
