@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     DegenerateDataError, _all_equal, _centered_sums, _check_int, _choice, _is_real, _scan_rows,
     as_series, partition, row_chunks,
@@ -226,11 +227,8 @@ def _split_residual_rows(xc, cs, j_hat: np.ndarray) -> np.ndarray:
     return np.subtract(xc, eps, out=eps)
 
 
-SN_SLICE_ELEMS = 2**14  # values per row slice of `_sn_stat_rows`: 128 KB per temporary
-
-
 def _in_slices(xmat: np.ndarray, stat_slice):
-    """(stats, ok) of stat_slice run on row slices of at most SN_SLICE_ELEMS values.
+    """(stats, ok) of stat_slice run on row slices of at most `core.SLICE_ELEMS` values.
 
     A slice is one row if a row is longer, so the temporaries stay bounded
     and in cache whatever B is.
@@ -238,7 +236,7 @@ def _in_slices(xmat: np.ndarray, stat_slice):
     b, n = xmat.shape
     stats, ok = np.empty(b), np.empty(b, dtype=bool)
     start = 0
-    for rows in row_chunks(b, n, SN_SLICE_ELEMS):
+    for rows in row_chunks(b, n, core.SLICE_ELEMS):
         part = slice(start, start + rows)
         stats[part], ok[part] = stat_slice(xmat[part])
         start += rows

@@ -9,7 +9,12 @@ Every subcommand that draws random numbers takes --seed and records it in
 the report.
 
 Exit codes: 0 success, 2 usage error, 3 input parse error, 4 infeasible
-parameters, 5 degenerate data.
+parameters, 5 degenerate data. argparse decides exit 2: an unknown flag, a
+missing or malformed number, two exclusive flags together, or a --format it
+does not list. Every other name (a method, test, multiplier law, experiment
+kind, profile or error model) is looked up in the library's own table, in
+any letter case, by core._choice; a name no table holds exits 4, before any
+CSV is read.
 """
 
 from __future__ import annotations
@@ -28,13 +33,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import DegenerateDataError, InsufficientBlocksError
+from .core import DegenerateDataError, InsufficientBlocksError, _choice
 from . import changepoint as cp
 from . import inference
 from .harness import _RANGE_HITS, ExperimentSpec, run_experiment
 from .lrv import lrv_selfnorm, lrv_stationary, select_block_length
 from .regression import fit_trend, regression_lrv, trend_ci
-from .simgen import ErrorModel, SigmaProfile, SimModel, generate
+from .simgen import _ERROR_KINDS, _SIGMA_PROFILES, ErrorModel, SigmaProfile, SimModel, generate
 
 EXIT_PARSE = 3
 EXIT_INFEASIBLE = 4
@@ -198,10 +203,10 @@ def cmd_select_k(args):
 
 
 def cmd_ci(args):
+    interval = inference._INTERVALS[_choice("method", args.method, inference._INTERVALS)]
+    inference._check_law(args.multiplier)  # even for a method that draws no multipliers
     x, _labels, inputs = _load_series(args)
-    ci = inference._INTERVALS[args.method](
-        x, args.alpha, args.blocks, args.bootstrap, args.seed, args.multiplier
-    )
+    ci = interval(x, args.alpha, args.blocks, args.bootstrap, args.seed, args.multiplier)
     return ci.to_dict(), inputs
 
 
@@ -217,14 +222,23 @@ def cmd_ci_combo(args):
 
 
 def cmd_changepoint(args):
+    test = _choice("test", args.test, cp._TESTS)
+    runner = "variance" if args.variance else test
+    if args.k_schedule is None:
+        ks = [10 if args.blocks is None else args.blocks]
+    else:
+        try:
+            ks = [int(k) for k in args.k_schedule.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--k-schedule: expected comma-separated integers, got {args.k_schedule!r}"
+            ) from None
     x, labels, inputs = _load_series(args)
-    runner = "variance" if args.variance else args.test
-    ks = [int(k) for k in args.k_schedule.split(",")] if args.k_schedule else [args.blocks]
 
     def run_one(k):
         if args.variance:
             return cp.variance_change_test(x, args.c, k, args.bootstrap, seed=args.seed)
-        return cp._TESTS[args.test][0](x, args.c, k, args.bootstrap, args.seed)
+        return cp._TESTS[test][0](x, args.c, k, args.bootstrap, args.seed)
 
     schedule = []
     for k in ks:
@@ -294,6 +308,11 @@ def cmd_experiment(args):
         return {"cells": rows, "wall_time_s": result.wall_time}, {}
 
 
+def _one_of(names) -> str:
+    """Help text for a flag whose value names a key of a library table."""
+    return "|".join(names) + ", in any letter case"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="snstat", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -310,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="generate a synthetic series")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--profile", default="constant", help="A1|A2|A3|A4|constant")
+    sp.add_argument("--profile", default="constant", help=_one_of(_SIGMA_PROFILES))
     sp.add_argument("--sigma-value", type=float, default=1.0)
-    sp.add_argument("--error", default="iid", help="b1|b2|iid")
+    sp.add_argument("--error", default="iid", help=_one_of(_ERROR_KINDS))
     sp.add_argument("--theta", type=float, default=0.0)
     sp.add_argument("--beta", type=float, default=3.0)
     sp.add_argument("--burn-in", type=int, default=1000)
@@ -335,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ci", help="confidence interval for the mean")
     add_io(sp)
-    sp.add_argument("--method", choices=list(inference._INTERVALS), default="sn")
+    sp.add_argument("--method", default="sn", help=_one_of(inference._INTERVALS))
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--blocks", type=int, required=True)
     sp.add_argument("--bootstrap", type=int, default=1000)
-    sp.add_argument("--multiplier", choices=list(inference._LAWS), default="rademacher")
+    sp.add_argument("--multiplier", default="rademacher", help=_one_of(inference._LAWS))
 
     sp = sub.add_parser("ci-combo", help="interval for a weighted combination of means")
     sp.add_argument("csvs", nargs="+", help="one CSV per period")
@@ -352,12 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("changepoint", help="change-point test")
     add_io(sp)
-    sp.add_argument("--test", choices=list(cp._TESTS), default="sn")
+    sp.add_argument("--test", default="sn", help=_one_of(cp._TESTS))
     sp.add_argument("--c", type=float, default=0.1, help="trimming fraction")
-    sp.add_argument("--blocks", type=int, default=10)
+    k_n = sp.add_mutually_exclusive_group()
+    k_n.add_argument("--blocks", type=int, default=None, help="block length k_n (default 10)")
+    k_n.add_argument("--k-schedule", default=None, help="comma-separated k_n values")
     sp.add_argument("--bootstrap", type=int, default=1000)
     sp.add_argument("--variance", action="store_true", help="test the variances instead")
-    sp.add_argument("--k-schedule", default=None, help="comma-separated k_n values")
 
     sp = sub.add_parser("trend", help="linear trend fit and intervals")
     add_io(sp)
@@ -366,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="Monte Carlo table reproduction",
                         argument_default=argparse.SUPPRESS)
-    sp.add_argument("--kind", choices=list(_RANGE_HITS), required=True)
+    sp.add_argument("--kind", required=True, help=_one_of(_RANGE_HITS))
     sp.add_argument("--config", default=None, help="JSON spec file")
     sp.add_argument("--n", type=int)
     sp.add_argument("--profiles", dest="sigma_profiles")

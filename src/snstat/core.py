@@ -211,6 +211,7 @@ def prefix_suffix_scan(x: np.ndarray) -> ScanStats:
 
 
 CHUNK_ELEMS = 2**21  # elements per (rows, n) float64 batch: 16 MB
+SLICE_ELEMS = 2**14  # elements per cache-resident slice of a batch: 128 KB of float64
 
 
 def row_chunks(rows: int, n: int, elems: int | None = None):

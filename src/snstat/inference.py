@@ -156,19 +156,18 @@ def normal_quantile(p: float) -> float:
     return float(_STANDARD_NORMAL.inv_cdf(p)) if 0 < p < 1 else math.copysign(math.inf, p - 0.5)
 
 
-SIGN_SLICE = 2**16  # values per slice `_rademacher` maps in place: 512 KB, cache-resident
-
-
 def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
     """i.i.d. +-1 signs as int64: rng.integers(0, 2) bits mapped to 2b - 1 in place.
 
-    The map runs in slices, so the second pass finds its slice in cache.
+    The map runs in slices of `core.SLICE_ELEMS` values, read at call time,
+    so the second pass finds its slice in cache.
     Integers are exact, so eps * signs equals the product with float signs.
     """
     signs = rng.integers(0, 2, size=size)
     flat = signs.reshape(-1)
-    for start in range(0, flat.size, SIGN_SLICE):
-        part = flat[start : start + SIGN_SLICE]
+    step = core.SLICE_ELEMS
+    for start in range(0, flat.size, step):
+        part = flat[start : start + step]
         part *= 2
         part -= 1
     return signs

@@ -24,13 +24,17 @@ _TRUNCATION_CAP = 100_000
 class SigmaProfile:
     """A named standard-deviation sequence sigma_1..sigma_n.
 
-    kind is one of "A1", "A2", "A3", "A4", "constant", "custom".
+    kind is one of "A1", "A2", "A3", "A4", "constant", "custom", in any
+    letter case; it is stored in the table's spelling.
     """
 
     kind: str
     n: int
     value: float = 1.0
     custom: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", _choice("kind", self.kind, [*_SIGMA_PROFILES, "custom"]))
 
     def materialize(self) -> np.ndarray:
         return sigma_values(self.kind, self.n, value=self.value, custom=self.custom)
@@ -111,7 +115,12 @@ class ErrorModel:
 
     @classmethod
     def parse(cls, label: str) -> ErrorModel:
-        """The model a label() names, in any letter case: "B1:0.4" is ErrorModel("b1", 0.4)."""
+        """The model a label() names, in any letter case: "B1:0.4" is ErrorModel("b1", 0.4).
+
+        Anything else, a non-string too, raises ValueError("bad error model token: …").
+        """
+        if not isinstance(label, str):
+            raise ValueError(f"bad error model token: {label!r}")
         token = label.strip()
         kind, colon, value = token.partition(":")
         try:

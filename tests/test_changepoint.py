@@ -8,7 +8,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from snstat import changepoint, inference
+from snstat import changepoint, core, inference
 from snstat.core import DegenerateDataError
 from snstat.changepoint import (
     _classical_stat_rows,
@@ -213,8 +213,8 @@ class TestSnStatRows:
         if rows > 1:
             xmat[1] = level + 0.1  # a constant row: not ok, statistic NaN
         expected = reference_sn_stat_rows(xmat, c, 11)
-        for budget in (1, n - 1, n + 1, 2**30, changepoint.SN_SLICE_ELEMS):
-            monkeypatch.setattr(changepoint, "SN_SLICE_ELEMS", budget)
+        for budget in (1, n - 1, n + 1, 2**30, core.SLICE_ELEMS):
+            monkeypatch.setattr(core, "SLICE_ELEMS", budget)
             stats, ok = _sn_stat_rows(xmat, c, 11)
             np.testing.assert_array_equal(stats, expected[0], err_msg=str(budget))
             np.testing.assert_array_equal(ok, expected[1], err_msg=str(budget))

@@ -257,6 +257,80 @@ class TestExitCodes:
         assert "alpha must be in (0, 1]" in capsys.readouterr().err
 
 
+# (subcommand argv, "{csv}" standing for an input file; flag; its table's spelling;
+# another spelling; the argument name core._choice gives in its error)
+NAME_FLAGS = [pytest.param(*row, id=f"{row[0][0]} {row[1]} {row[3]}") for row in [
+    (["ci", "{csv}", "--blocks", "10", "--bootstrap", "50"], "--method", "wb", "WB", "method"),
+    (["ci", "{csv}", "--method", "wb", "--blocks", "10", "--bootstrap", "50"],
+     "--multiplier", "gaussian", "Gaussian", "law"),
+    (["ci", "{csv}", "--method", "sn", "--blocks", "10"], "--multiplier", "gaussian", "GAUSSIAN",
+     "law"),
+    (["changepoint", "{csv}", "--bootstrap", "50"], "--test", "t1", "T1", "test"),
+    (["experiment", "--profiles", "A1", "--methods", "sn", "--reps", "2", "--boot", "10"],
+     "--kind", "size", "Size", "kind"),
+]]
+
+
+class TestNames:
+    """Every name a flag takes is looked up by core._choice, in any letter case."""
+
+    @staticmethod
+    def argv(base, path, flag, value):
+        return [path if a == "{csv}" else a for a in base] + [flag, value]
+
+    @pytest.mark.parametrize("base, flag, canonical, spelled, name", NAME_FLAGS)
+    def test_any_letter_case_gives_the_same_results(self, tmp_path, capsys, base, flag,
+                                                    canonical, spelled, name):
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(8).normal(size=120))
+        results = [
+            run_json(capsys, self.argv(base, path, flag, value))["results"]
+            for value in (canonical, spelled)
+        ]
+        for res in results:
+            res.pop("wall_time_s", None)  # experiment timing
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("base, flag, canonical, spelled, name", NAME_FLAGS)
+    def test_unknown_name_is_4(self, tmp_path, capsys, base, flag, canonical, spelled, name):
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(8).normal(size=120))
+        assert main(self.argv(base, path, flag, "bogus")) == 4
+        captured = capsys.readouterr()
+        assert re.match(f"^error: {name}: expected one of", captured.err), captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "base, flag, canonical, spelled, name", [p for p in NAME_FLAGS if "{csv}" in p.values[0]]
+    )
+    def test_unknown_name_is_4_before_the_csv_is_read(self, tmp_path, capsys, base, flag,
+                                                      canonical, spelled, name):
+        # a missing file alone exits 3
+        assert main(self.argv(base, str(tmp_path / "missing.csv"), flag, "bogus")) == 4
+        assert capsys.readouterr().err.startswith(f"error: {name}: expected one of")
+
+    def test_simulate_reports_the_profile_in_its_table_spelling(self, capsys):
+        report = run_json(capsys, ["simulate", "--n", "4", "--profile", "a1", "--error", "B1",
+                                   "--theta", "0.4"])
+        assert report["results"]["model"]["sigma"] == "A1"
+        assert report["results"]["model"]["error"] == "b1"
+
+    @pytest.mark.parametrize("blocks", ["10", "12"])
+    def test_changepoint_blocks_and_k_schedule_are_exclusive(self, tmp_path, capsys, blocks):
+        # --blocks used to be dropped silently; 10 is also its default
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(8).normal(size=120))
+        with pytest.raises(SystemExit) as exc:
+            main(["changepoint", path, "--blocks", blocks, "--k-schedule", "10,12"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --blocks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule", ["10,x", "10,,12", "1.5"])
+    def test_bad_k_schedule_entry_is_4(self, tmp_path, capsys, schedule):
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(8).normal(size=120))
+        assert main(["changepoint", path, "--k-schedule", schedule]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --k-schedule: expected comma-separated integers")
+        assert captured.out == ""
+
+
 class TestSimulateRoundTrip:
     def test_lrv_matches_library_bit_exact(self, tmp_path, capsys):
         out = str(tmp_path / "sim.csv")

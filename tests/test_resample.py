@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snstat import changepoint, core, inference, lrv
+from snstat import core, inference, lrv
 from snstat.changepoint import classical_test, sn_test, variance_change_test
 from snstat.inference import block_bootstrap_mean, wild_bootstrap_mean
 from snstat.lrv import select_block_length
@@ -61,7 +61,7 @@ def test_values_do_not_depend_on_chunk_size(monkeypatch, chunk):
     expected_k = select_block_length(N, k_grid=[4, 6, 10, 15], reps=60, seed=2)
     monkeypatch.setattr(core, "CHUNK_ELEMS", chunk)
     monkeypatch.setattr(lrv, "SELECT_BATCH_ELEMS", chunk)  # the selector's own budget
-    monkeypatch.setattr(changepoint, "SN_SLICE_ELEMS", chunk)  # the SN kernel's row slices
+    monkeypatch.setattr(core, "SLICE_ELEMS", chunk)  # the SN kernel's row slices and the sign map
     got = resamplers(x, 11, 40)
     for method, values in expected.items():
         assert np.array_equal(got[method], values), method

@@ -49,6 +49,19 @@ class TestSigmaProfiles:
         with pytest.raises(ValueError, match="non-positive or non-finite"):
             SigmaProfile("custom", 3, custom=(1.0, bad, 1.0)).materialize()
 
+    @pytest.mark.parametrize(
+        "kind, stored",
+        [("a1", "A1"), ("CONSTANT", "constant"), ("Custom", "custom")],
+    )
+    def test_kind_stored_in_table_spelling(self, kind, stored):
+        assert SigmaProfile(kind, 4) == SigmaProfile(stored, 4)
+        assert SigmaProfile(kind, 4).kind == stored
+
+    @pytest.mark.parametrize("kind", ["A5", "", None, 1])
+    def test_unknown_kind_rejected_at_construction(self, kind):
+        with pytest.raises(ValueError, match="^kind: expected one of A1, A2, A3, A4, constant"):
+            SigmaProfile(kind, 4)
+
     def test_constant(self):
         np.testing.assert_array_equal(sigma_values("constant", 4, value=2.5), 2.5)
 
@@ -178,7 +191,7 @@ class TestErrorModel:
         assert ErrorModel("B1", theta=0.4) == ErrorModel("b1", theta=0.4)
         assert ErrorModel("IID").kind == "iid"
 
-    @pytest.mark.parametrize("token", ["b9:1", "b1", "iid:3", "", "b1:x", "IID:3"])
+    @pytest.mark.parametrize("token", ["b9:1", "b1", "iid:3", "", "b1:x", "IID:3", None, 3])
     def test_parse_rejects_bad_tokens(self, token):
         with pytest.raises(ValueError, match="^bad error model token"):
             ErrorModel.parse(token)
