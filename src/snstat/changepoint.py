@@ -19,7 +19,9 @@ from .core import (
     DegenerateDataError, _all_equal, _centered_sums, _check_int, _choice, _is_real, _scan_rows,
     as_series, partition, row_chunks,
 )
-from .inference import BootstrapDistribution, _check_law, _check_tau_hat, _multipliers, _resample
+from .inference import (
+    _LAWS, BootstrapDistribution, _check_law, _check_tau_hat, _multipliers, _resample,
+)
 from .lrv import (
     lrv_selfnorm, lrv_stationary, _block_css, _d_stationary, _mean_sq, _tau, _tau_sq_selfnorm_rows,
     _tau_sq_stationary_rows,
@@ -325,7 +327,7 @@ def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
         lim_suf *= keep
         return bq, big_a, lim_pre, lim_suf
 
-    unit = split_constants(eps[None]) if _check_law(law)[1] else None
+    unit = split_constants(eps[None]) if _LAWS[law][1] else None
 
     def stat_slice(alpha):
         y = eps * alpha
@@ -424,7 +426,7 @@ def sn_test(
     of squares; a row near a rounding bound runs the general kernel
     `_sn_stat_rows`.
     """
-    _check_law(law)
+    law = _check_law(law)
     statistic, scan, eps, tau = sn_statistic(x, c, k_n)
     rng, n = stream(seed, "sn-test"), eps.size
     stat_rows = _sn_wild_rows(eps, c, k_n, law)
@@ -525,7 +527,7 @@ def variance_change_test(
     transformed series is handed to the self-normalized mean test.
     """
     x = as_series(x)
-    _check_law(law)
+    law = _check_law(law)
     xt = (x - x.mean()) ** 2
     if _all_equal(xt):
         raise DegenerateDataError("degenerate transform: squared series is constant")

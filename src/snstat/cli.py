@@ -204,14 +204,14 @@ def cmd_select_k(args):
 
 def cmd_ci(args):
     interval = inference._INTERVALS[_choice("method", args.method, inference._INTERVALS)]
-    inference._check_law(args.multiplier)  # even for a method that draws no multipliers
+    law = inference._check_law(args.multiplier)  # even for a method that draws no multipliers
     x, _labels, inputs = _load_series(args)
-    ci = interval(x, args.alpha, args.blocks, args.bootstrap, args.seed, args.multiplier)
+    ci = interval(x, args.alpha, args.blocks, args.bootstrap, args.seed, law)
     return ci.to_dict(), inputs
 
 
 def cmd_ci_combo(args):
-    weights = [float(w) for w in args.weights.split(",")]
+    weights = _list_of("--weights", args.weights, float)
     segments, inputs = [], []
     for path in args.csvs:
         values, _ = ingest_csv(path, column=args.col, no_header=args.no_header)
@@ -227,12 +227,7 @@ def cmd_changepoint(args):
     if args.k_schedule is None:
         ks = [10 if args.blocks is None else args.blocks]
     else:
-        try:
-            ks = [int(k) for k in args.k_schedule.split(",")]
-        except ValueError:
-            raise ValueError(
-                f"--k-schedule: expected comma-separated integers, got {args.k_schedule!r}"
-            ) from None
+        ks = _list_of("--k-schedule", args.k_schedule, int)
     x, labels, inputs = _load_series(args)
 
     def run_one(k):
@@ -266,18 +261,38 @@ def cmd_trend(args):
         "k_n": args.blocks,
         "ci_beta0": trend_ci(fit, "beta0", args.alpha, args.blocks).to_dict(),
         "ci_beta1": trend_ci(fit, "beta1", args.alpha, args.blocks).to_dict(),
-        "residual_css": float(np.sum(fit.residuals**2)),
+        "residual_css": fit.residual_css,
     }, inputs
 
 
-# list field of ExperimentSpec -> parser of one item. A field comes as a comma
-# string or a JSON list; a string item is parsed, any other goes on as it is.
+def _list_of(name: str, value, read) -> tuple:
+    """The items of a comma string or a list, each string item read by read, any other as it is.
+
+    A ValueError names name, the flag or config key, and the bad item; a
+    reader other than int or float, such as ErrorModel.parse, gives its own message.
+    """
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"{name} must be a comma string or a list, got {items!r}")
+    out = []
+    for item in items:
+        try:
+            out.append(read(item) if isinstance(item, str) else item)
+        except ValueError as exc:
+            what = {int: "integers", float: "numbers"}.get(read)
+            reason = f"expected comma-separated {what}, got {item!r}" if what else exc
+            raise ValueError(f"{name}: {reason}") from None
+    return tuple(out)
+
+
+# list field of ExperimentSpec -> (its flag, reader of one item). A field comes
+# as a comma string or a JSON list, from its flag or from the config.
 _LIST_FIELDS = {
-    "sigma_profiles": str,
-    "error_models": ErrorModel.parse,
-    "k_values": int,
-    "methods": str,
-    "lambda_grid": float,
+    "sigma_profiles": ("--profiles", str),
+    "error_models": ("--errors", ErrorModel.parse),
+    "k_values": ("--blocks", int),
+    "methods": ("--methods", str),
+    "lambda_grid": ("--lambdas", float),
 }
 
 
@@ -286,18 +301,17 @@ def cmd_experiment(args):
     # the spec fields given as flags (the others are suppressed), then the config's
     fields = {name: value for name, value in vars(args).items() if name in names}
     fields["master_seed"] = args.seed
+    config = {}
     if args.config:
         with open(args.config) as fh:
-            fields.update(json.load(fh))
+            config = json.load(fh)
+    fields.update(config)
     unknown = set(fields) - names
     if unknown:
         raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-    for key, read in _LIST_FIELDS.items():
+    for key, (flag, read) in _LIST_FIELDS.items():
         if key in fields:
-            items = fields[key].split(",") if isinstance(fields[key], str) else fields[key]
-            if not isinstance(items, (list, tuple)):
-                raise ValueError(f"{key} must be a comma string or a list, got {items!r}")
-            fields[key] = tuple(read(v) if isinstance(v, str) else v for v in items)
+            fields[key] = _list_of(key if key in config else flag, fields[key], read)
     result = run_experiment(ExperimentSpec(**fields), workers=args.threads)
     rows = result.to_rows()
     if args.format == "table":

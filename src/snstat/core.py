@@ -122,21 +122,41 @@ def partition(n: int, k_n: int) -> BlockPartition:
 def segment_stats(x: np.ndarray, start: int, stop: int) -> SegmentStats:
     """Mean and centered sum of squares over the 1-based inclusive range.
 
-    Two-pass computation: exact to numerical precision.
+    Two-pass computation by `_segment_css`: exact to numerical precision.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     if not (1 <= start <= stop <= n):
         raise ValueError(f"invalid segment range [{start}, {stop}] for n={n}")
     seg = x[start - 1 : stop]
-    m = seg.mean()
-    css = float(np.sum((seg - m) ** 2))
-    return SegmentStats(count=seg.size, mean=float(m), css=css)
+    mean, css, _flat = _segment_css(seg[None])
+    return SegmentStats(count=seg.size, mean=float(mean[0]), css=float(css[0]))
 
 
 def _all_equal(a: np.ndarray) -> np.ndarray:
     """True where every value along the last axis equals the first, compared with ==."""
     return np.all(a == a[..., :1], axis=-1)
+
+
+def _segment_css(a: np.ndarray):
+    """Mean, two-pass centered sum of squares (css) and no-variation flag of each segment.
+
+    The segments run along a's last axis; a has at least two axes, so a 1-D
+    series is passed as its (1, n) row. This is the one rule for a segment
+    with no variation: its values are all equal or its css underflows to 0.
+    An equal segment of k values has its css round below k^3 u^2 mean^2
+    (u = 2^-53), so only segments under 8 times that bound, or with a NaN
+    css, get the exact test.
+    """
+    k = a.shape[-1]
+    mean = a.mean(axis=-1)
+    css = np.sum((a - mean[..., None]) ** 2, axis=-1)
+    # scaled before it is squared, the bound overflows only past |mean| ~ 1e160
+    flat = ~(css > np.square(mean * ((8.0 * float(k) ** 3) ** 0.5 * 2.0**-53)))
+    if flat.any():
+        near = np.nonzero(flat)
+        flat[near] = (css[near] == 0.0) | _all_equal(a[near])
+    return mean, css, flat
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .core import (
     _check_int,
     _choice,
     _is_real,
+    _segment_css,
     as_series,
     partition,
     row_chunks,
@@ -159,17 +160,11 @@ def normal_quantile(p: float) -> float:
 def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
     """i.i.d. +-1 signs as int64: rng.integers(0, 2) bits mapped to 2b - 1 in place.
 
-    The map runs in slices of `core.SLICE_ELEMS` values, read at call time,
-    so the second pass finds its slice in cache.
     Integers are exact, so eps * signs equals the product with float signs.
     """
     signs = rng.integers(0, 2, size=size)
-    flat = signs.reshape(-1)
-    step = core.SLICE_ELEMS
-    for start in range(0, flat.size, step):
-        part = flat[start : start + step]
-        part *= 2
-        part -= 1
+    signs *= 2
+    signs -= 1
     return signs
 
 
@@ -180,13 +175,14 @@ _LAWS = {
 }
 
 
-def _check_law(law: str):
-    """The (draw, unit) entry of a multiplier law, named in any letter case."""
-    return _LAWS[_choice("law", law, _LAWS)]
+def _check_law(law: str) -> str:
+    """The key of a multiplier law named in any letter case; the public entries resolve it once."""
+    return _choice("law", law, _LAWS)
 
 
 def _multipliers(rng: np.random.Generator, law: str, size) -> np.ndarray:
-    return _check_law(law)[0](rng, size)
+    """Multipliers of the law keyed law (see `_check_law`), shaped size."""
+    return _LAWS[law][0](rng, size)
 
 
 def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
@@ -202,7 +198,7 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
 
     Each block's css comes from bs and BQ by `lrv._block_css`: a block under
     its rounding bound is recomputed from its values in two passes and
-    judged by `lrv._degenerate_blocks`, the rule `lrv_selfnorm` raises on.
+    judged by `core._segment_css`, the rule `lrv_selfnorm` raises on.
     V^2 is the sum of the block css, the between-block term and the
     remainder's squared deviations, so it loses no digits to cancellation.
     """
@@ -211,7 +207,7 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
     e_blocks = part.view(eps)
     e_sq = e_blocks * e_blocks
     e_rem = eps[part.covered :]
-    unit = _check_law(law)[1]
+    unit = _LAWS[law][1]
     bq_unit = e_sq.sum(axis=1)
 
     def stat_rows(alpha):
@@ -280,12 +276,13 @@ def combo_ci(
     centered = []
     for s, w in zip(segs, map(float, weights)):
         partition(s.size, k_n)  # two blocks per segment, also when tau_hat is given
-        st = segment_stats(s, 1, s.size)
-        if _all_equal(s) or st.css == 0.0:  # css underflows as in `lrv_selfnorm`
+        mean, css, flat = _segment_css(s[None])
+        if flat[0]:
             raise DegenerateDataError("degenerate segment: zero sample variance")
-        point += w * st.mean
-        lam_sq += (w * w) / (s.size**2) * st.css
-        centered.append(s - st.mean)
+        mean, css = float(mean[0]), float(css[0])
+        point += w * mean
+        lam_sq += (w * w) / (s.size**2) * css
+        centered.append(s - mean)
     if tau_hat is None:
         tau_hat = _tau(lrv_selfnorm(np.concatenate(centered), k_n))
     half = normal_quantile(1 - alpha / 2) * float(tau_hat) * math.sqrt(lam_sq)
@@ -308,7 +305,7 @@ def wild_bootstrap_mean(
     the values do not depend on batch size.
     """
     x = as_series(x)
-    _check_law(law)
+    law = _check_law(law)
     rng = stream(seed, "wb")
     stat_rows = _wb_stat_rows(x - x.mean(), k_n, law)  # an infeasible k_n fails here
     out = _resample(B, x.size, lambda rows: _multipliers(rng, law, (rows, x.size)), stat_rows)
@@ -332,7 +329,7 @@ def wb_ci(
     """
     x = as_series(x)
     _check_alpha(alpha)
-    _check_law(law)
+    law = _check_law(law)
     n = x.size
     tau, vn = _tau_vn(x, k_n)
     boot = wild_bootstrap_mean(x, B, k_n, law=law, seed=seed)

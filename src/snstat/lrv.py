@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegenerateDataError, InsufficientBlocksError, _all_equal, _check_int, as_series, partition,
-    row_chunks,
+    DegenerateDataError, InsufficientBlocksError, _all_equal, _check_int, _css, _segment_css,
+    as_series, partition, row_chunks,
 )
 from .rng import stream
 
@@ -47,52 +47,30 @@ def _block_means(xmat: np.ndarray, k_n: int):
 def _d_selfnorm_rows(xmat: np.ndarray, k_n: int):
     """Self-normalized D_j of each row of a (B, n) matrix, and its (B, l_n) degenerate blocks.
 
-    A block is degenerate by the rule of `_degenerate_blocks`.
+    A block is degenerate when `core._segment_css` finds no variation in it.
     """
-    blocks, bm = _block_means(xmat, k_n)
-    css = np.sum((blocks - bm[:, :, None]) ** 2, axis=2)
-    degenerate = _degenerate_blocks(blocks, bm, css)
+    bm, css, degenerate = _segment_css(partition(xmat.shape[1], k_n).view(xmat))
     with np.errstate(divide="ignore", invalid="ignore"):
         return k_n * (bm - xmat.mean(axis=1)[:, None]) / np.sqrt(css), degenerate
-
-
-def _degenerate_blocks(blocks: np.ndarray, bm: np.ndarray, css: np.ndarray) -> np.ndarray:
-    """Flags of the blocks (..., k_n), with means bm and two-pass css, that are degenerate.
-
-    A block is degenerate when its values are all equal or its css underflows
-    to 0. An equal block's css rounds below k_n^3 u^2 bm^2 (u = 2^-53), so
-    only blocks under 8 times that bound, or with a NaN css, get the exact test.
-    The block-sum kernels apply it, through `_block_css`, to the blocks they recompute.
-    """
-    k_n = blocks.shape[-1]
-    # scaled before it is squared, the bound overflows only past |bm| ~ 1e160
-    degenerate = ~(css > np.square(bm * ((8.0 * float(k_n) ** 3) ** 0.5 * 2.0**-53)))
-    if degenerate.any():
-        near = np.nonzero(degenerate)
-        degenerate[near] = (css[near] == 0.0) | _all_equal(blocks[near])
-    return degenerate
 
 
 def _block_css(bs: np.ndarray, bq: np.ndarray, k_n: int, values, redo=None):
     """Centered sums of squares of blocks from their sums bs and sums of squares bq, and flags.
 
-    Block j's css is bq_j - bs_j^2 / k_n. Its rounding error is at most
-    about 3 k_n u bq_j (u = 2^-53), so above 2^-16 k_n bq_j it is good to
-    3 * 2^-37 (2e-11) of itself. A block at or below that bound, NaN, or
-    flagged in redo is recomputed from values(r, j), the (m, k_n) values of
-    the blocks at rows r and columns j, in two passes and judged by
-    `_degenerate_blocks`. Returns (css, degenerate), both shaped as bs.
+    Block j's css is bq_j - bs_j^2 / k_n, by `core._css`. Its rounding error
+    is at most about 3 k_n u bq_j (u = 2^-53), so above 2^-16 k_n bq_j it is
+    good to 3 * 2^-37 (2e-11) of itself. A block at or below that bound, NaN,
+    or flagged in redo is recomputed from values(r, j), the (m, k_n) values
+    of the blocks at rows r and columns j, in two passes and judged by
+    `core._segment_css`. Returns (css, degenerate), both shaped as bs.
     """
-    css = bq - bs * bs / k_n
+    css = _css(bq, bs, k_n)
     degenerate = np.zeros(css.shape, dtype=bool)
     bad = ~(css > (k_n * 2.0**-16) * bq)
     redo = bad if redo is None else bad | redo
     if redo.any():
         r, j = np.nonzero(redo)
-        xi = values(r, j)
-        bm = xi.mean(axis=1)
-        css[r, j] = exact = np.sum((xi - bm[:, None]) ** 2, axis=1)
-        degenerate[r, j] = _degenerate_blocks(xi, bm, exact)
+        css[r, j], degenerate[r, j] = _segment_css(values(r, j))[1:]
     return css, degenerate
 
 

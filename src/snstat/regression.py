@@ -8,12 +8,13 @@ from writing the estimation errors as linear combinations of the noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateDataError, _all_equal, _choice, as_series, partition
+from .core import DegenerateDataError, _choice, _segment_css, as_series, partition
 from .inference import ConfidenceInterval, _check_alpha, normal_quantile
 from .lrv import LongRunEstimate, _tau
 
@@ -27,7 +28,12 @@ class TrendFit:
     residuals: np.ndarray
     v_n0_sq: float
     v_n1_sq: float
-    x_css: float  # centered sum of squares of the data, exactly 0 if constant
+    x_css: float  # centered sum of squares of the data, exactly 0 if it shows no variation
+
+    @functools.cached_property
+    def residual_css(self) -> float:
+        """Sum of the squared residuals, computed once."""
+        return float(np.sum(self.residuals**2))
 
     @property
     def n(self) -> int:
@@ -49,25 +55,25 @@ def fit_trend(x) -> TrendFit:
     resid = x - beta0 - beta1 * i / n
     w0 = 2.0 * n - 3.0 * i + 1.0
     w1 = 2.0 * i - n - 1.0
+    _mean, x_css, flat = _segment_css(x[None])
     return TrendFit(
         beta0_hat=float(beta0),
         beta1_hat=float(beta1),
         residuals=resid,
         v_n0_sq=float(np.sum(w0 * w0 * resid * resid)),
         v_n1_sq=float(np.sum(w1 * w1 * resid * resid)),
-        x_css=0.0 if _all_equal(x) else float(np.sum((x - x.mean()) ** 2)),
+        x_css=0.0 if flat[0] else float(x_css[0]),
     )
 
 
 def _check_not_exact(fit: TrendFit) -> None:
     """Raise DegenerateDataError on a constant series or an exact line, at any scale.
 
-    A constant is decided exactly (x_css is then 0). A line is decided
+    A series with no variation by `core._segment_css` has x_css 0. A line is decided
     relative to the data alone: its residual css measured 1e-31 to 1e-25 of
     x_css at scales 1e-12 to 1e8, noise's about 1.
     """
-    r_css = float(np.sum(fit.residuals**2))
-    if fit.x_css == 0.0 or r_css < EXACT_FIT_REL_TOL * fit.x_css:
+    if fit.x_css == 0.0 or fit.residual_css < EXACT_FIT_REL_TOL * fit.x_css:
         raise DegenerateDataError("exact linear fit: residuals carry no variation")
 
 

@@ -25,7 +25,8 @@ class SigmaProfile:
     """A named standard-deviation sequence sigma_1..sigma_n.
 
     kind is one of "A1", "A2", "A3", "A4", "constant", "custom", in any
-    letter case; it is stored in the table's spelling.
+    letter case; it is stored in the table's spelling. The profile is
+    checked as `sigma_values` checks it when it is built.
     """
 
     kind: str
@@ -35,6 +36,7 @@ class SigmaProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _choice("kind", self.kind, [*_SIGMA_PROFILES, "custom"]))
+        self.materialize()
 
     def materialize(self) -> np.ndarray:
         return sigma_values(self.kind, self.n, value=self.value, custom=self.custom)
@@ -219,6 +221,8 @@ class SimModel:
 
     def __post_init__(self):
         _check_int("n", self.n, 1)
+        if self.sigma.n != self.n:
+            raise ValueError(f"sigma profile length {self.sigma.n} does not match model n={self.n}")
         if _check_int("change_at", self.change_at, 0) > self.n:  # the shift would fall outside
             raise ValueError(f"change_at must be <= n={self.n}, got {self.change_at}")
         for name in ("mu", "lam"):
@@ -250,7 +254,5 @@ class SimModel:
 def generate(model: SimModel) -> np.ndarray:
     """Materialize one series from the model, bit-reproducible per seed."""
     sig = model.sigma.materialize()
-    if sig.size != model.n:
-        raise ValueError("sigma profile length does not match model n")
     e = model.error.generate(model.n, model.seed)
     return model.mean_values() + sig * e

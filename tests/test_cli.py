@@ -331,6 +331,52 @@ class TestNames:
         assert captured.out == ""
 
 
+EXPERIMENT = ["experiment", "--kind", "size", "--profiles", "A1", "--methods", "sn", "--reps", "2",
+              "--boot", "10"]
+
+# (argv, "{csv}" standing for an input file; the flag or config key the error
+# names; the rest of the message)
+BAD_LISTS = [pytest.param(*row, id=" ".join(row[0][:1] + row[0][-2:])) for row in [
+    (["ci-combo", "{csv}", "--blocks", "15", "--weights", "1,x"], "--weights",
+     "expected comma-separated numbers, got 'x'"),
+    (["changepoint", "{csv}", "--k-schedule", "10,x"], "--k-schedule",
+     "expected comma-separated integers, got 'x'"),
+    (EXPERIMENT + ["--blocks", "10,x"], "--blocks", "expected comma-separated integers, got 'x'"),
+    (EXPERIMENT + ["--blocks", "10,2.5"], "--blocks",
+     "expected comma-separated integers, got '2.5'"),
+    (EXPERIMENT + ["--lambdas", "0,x"], "--lambdas", "expected comma-separated numbers, got 'x'"),
+    (EXPERIMENT + ["--errors", "iid,b9"], "--errors", "bad error model token: 'b9'"),
+]]
+
+# (config; the key the error names; the rest of the message)
+BAD_CONFIG_LISTS = [pytest.param(*row, id=json.dumps(row[0])) for row in [
+    ({"k_values": "10,x"}, "k_values", "expected comma-separated integers, got 'x'"),
+    ({"k_values": [10, "x"]}, "k_values", "expected comma-separated integers, got 'x'"),
+    ({"lambda_grid": ["0", "x"]}, "lambda_grid", "expected comma-separated numbers, got 'x'"),
+    ({"error_models": ["b9"]}, "error_models", "bad error model token: 'b9'"),
+]]
+
+
+class TestLists:
+    """A bad entry of a comma list exits 4 naming its flag, or its config key, and the entry."""
+
+    @pytest.mark.parametrize("argv, name, message", BAD_LISTS)
+    def test_bad_flag_entry_is_4(self, tmp_path, capsys, argv, name, message):
+        path = write_csv(tmp_path / "x.csv", np.random.default_rng(8).normal(size=120))
+        assert main([path if a == "{csv}" else a for a in argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name}: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("config, name, message", BAD_CONFIG_LISTS)
+    def test_bad_config_entry_is_4(self, tmp_path, capsys, config, name, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        # the config's value replaces the flag's, and its key is named
+        assert main(EXPERIMENT + ["--blocks", "10", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == f"error: {name}: {message}\n"
+
+
 class TestSimulateRoundTrip:
     def test_lrv_matches_library_bit_exact(self, tmp_path, capsys):
         out = str(tmp_path / "sim.csv")

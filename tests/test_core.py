@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from snstat import core
 from snstat.core import (
     InsufficientBlocksError,
     as_series,
@@ -98,6 +99,40 @@ class TestSegmentStats:
             segment_stats(np.array([1.0, 2.0]), 0, 1)
         with pytest.raises(ValueError):
             segment_stats(np.array([1.0, 2.0]), 2, 1)
+
+
+class TestSegmentCss:
+    """core._segment_css flags exactly the segments that are all equal or whose css is 0.
+
+    Its cheap bound only decides which segments get the exact test, so no
+    segment the exact rule flags may pass it; this is what lets every
+    caller share the rule.
+    """
+
+    @given(
+        k=st.integers(min_value=2, max_value=5000),
+        mantissa=st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
+        exponent=st.integers(min_value=-150, max_value=150),
+        sign=st.sampled_from([1.0, -1.0]),
+        bits=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_flag_is_the_exact_rule(self, k, mantissa, exponent, sign, bits, seed):
+        rng = np.random.default_rng(seed)
+        v = sign * mantissa * 10.0**exponent
+        equal = np.full(k, v)
+        ulp = equal.copy()  # one value one ulp away
+        ulp[rng.integers(k)] = np.nextafter(v, rng.choice([-np.inf, np.inf]))
+        near = v * (1.0 + rng.normal(size=k) * 2.0**-bits)  # a few ulps apart at 50+ bits
+        noise = v + abs(v) * rng.normal(size=k)
+        underflow = rng.normal(size=k) * 1e-170  # no deviation squares to a nonzero double
+        a = np.array([equal, ulp, near, noise, underflow])
+        mean, css, flat = core._segment_css(a)
+        np.testing.assert_array_equal(mean, a.mean(axis=-1))
+        np.testing.assert_array_equal(css, np.sum((a - a.mean(axis=-1)[:, None]) ** 2, axis=-1))
+        np.testing.assert_array_equal(flat, core._all_equal(a) | (css == 0.0))
+        assert flat[0] and flat[4]
 
 
 class TestPrefixSuffixScan:

@@ -189,7 +189,7 @@ class TestWildBootstrap:
 
     def test_unknown_law_rejected(self):
         with pytest.raises(ValueError, match="^law: expected one of rademacher, gaussian, got 'cauchy'$"):
-            _multipliers(np.random.default_rng(0), "cauchy", 5)
+            wild_bootstrap_mean(random_series(0, 20), 5, 5, law="cauchy")
 
     def test_scale_shift_invariance_same_seed(self):
         x = random_series(5, 60)

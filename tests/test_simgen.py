@@ -54,8 +54,9 @@ class TestSigmaProfiles:
         [("a1", "A1"), ("CONSTANT", "constant"), ("Custom", "custom")],
     )
     def test_kind_stored_in_table_spelling(self, kind, stored):
-        assert SigmaProfile(kind, 4) == SigmaProfile(stored, 4)
-        assert SigmaProfile(kind, 4).kind == stored
+        sig = (1.0, 2.0, 3.0, 4.0)  # a custom profile needs its n values, the others ignore them
+        assert SigmaProfile(kind, 4, custom=sig) == SigmaProfile(stored, 4, custom=sig)
+        assert SigmaProfile(kind, 4, custom=sig).kind == stored
 
     @pytest.mark.parametrize("kind", ["A5", "", None, 1])
     def test_unknown_kind_rejected_at_construction(self, kind):
@@ -225,6 +226,29 @@ class TestErrorModel:
         np.testing.assert_array_equal(
             ErrorModel("iid").generate(30, 3), np.random.default_rng(3).standard_normal(30)
         )
+
+
+class TestConstruction:
+    """A model or profile that cannot be drawn fails when it is built."""
+
+    def test_sim_model_checks_profile_length(self):
+        with pytest.raises(ValueError, match="sigma profile length 20 does not match model n=10"):
+            SimModel(n=10, sigma=SigmaProfile("A1", 20))
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (("constant", 4), {"value": float("nan")}, "value: expected a finite number"),
+            (("constant", 4), {"value": -1.0}, "non-positive or non-finite"),
+            (("custom", 3), {"custom": (1.0, 2.0)}, "custom profile has length 2, expected 3"),
+            (("custom", 3), {"custom": (1.0, 0.0, 1.0)}, "non-positive or non-finite"),
+            (("A1", 0), {}, "n must be >= 1"),
+            (("A2", 4.0), {}, "n: expected an integer"),
+        ],
+    )
+    def test_sigma_profile_checked_when_built(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SigmaProfile(*args, **kwargs)
 
 
 class TestGenerate:
