@@ -229,13 +229,17 @@ def _split_residual_rows(xc, cs, j_hat: np.ndarray) -> np.ndarray:
     return np.subtract(xc, eps, out=eps)
 
 
-def _in_slices(xmat: np.ndarray, stat_slice):
-    """(stats, ok) of stat_slice run on row slices of at most `core.SLICE_ELEMS` values.
+def _in_slices(xmat: np.ndarray, stat_slice, n: int | None = None):
+    """(stats, ok) of stat_slice run on row slices of at most `core.SLICE_ELEMS` series values.
 
-    A slice is one row if a row is longer, so the temporaries stay bounded
-    and in cache whatever B is.
+    Row i of xmat stands for one series of n values: n defaults to the
+    row length of a (rows, n) matrix, and is given when the rows hold
+    something else, such as the block indices of a block resample. A slice
+    is one row if a series is longer, so the temporaries stay bounded and
+    in cache whatever B is.
     """
-    b, n = xmat.shape
+    b = xmat.shape[0]
+    n = xmat.shape[1] if n is None else n
     stats, ok = np.empty(b), np.empty(b, dtype=bool)
     start = 0
     for rows in row_chunks(b, n, core.SLICE_ELEMS):
@@ -450,7 +454,9 @@ def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
     table plus the running total of the blocks before them, and its tau^2
     comes from its blocks' means, so no resampled series is gathered and
     none is summed. ok flags rows whose block means are not all equal, as
-    in `_tau_sq_stationary_rows`.
+    in `_tau_sq_stationary_rows`. The index rows run in `_in_slices`, sized
+    by the n' = k_n * l_n values each replicate stands for, so the gathered
+    prefix sums and the scan stay within one slice budget whatever B is.
     """
     part = partition(xc.size, k_n)
     blocks = part.view(xc)
@@ -462,7 +468,7 @@ def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
     jn = j / n
     scale = np.sqrt(j * (1.0 - jn))  # t1 studentizes, t2 does not
 
-    def stat_rows(idx):
+    def stat_slice(idx):
         rows = idx.shape[0]
         s = within[idx]
         s[:, 1:] += np.cumsum(totals[idx[:, :-1]], axis=1)[:, :, None]
@@ -475,7 +481,7 @@ def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
         with np.errstate(divide="ignore", invalid="ignore"):
             return values.max(axis=1) / np.sqrt(tau_sq), ~_all_equal(bm)
 
-    return stat_rows
+    return lambda idx: _in_slices(idx, stat_slice, n)
 
 
 def classical_test(

@@ -8,8 +8,10 @@ and experiment --format csv|table writes its grid as CSV or a pivoted table.
 Every subcommand that draws random numbers takes --seed and records it in
 the report.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 infeasible
-parameters, 5 degenerate data. argparse decides exit 2: an unknown flag, a
+Exit codes: 0 success, 2 usage error, 3 input parse error (a CSV or a
+--config file that cannot be read or parsed), 4 infeasible parameters
+(a --config that is not a JSON object, an --out whose directory does not
+exist), 5 degenerate data. argparse decides exit 2: an unknown flag, a
 missing or malformed number, two exclusive flags together, or a --format it
 does not list. Every other name (a method, test, multiplier law, experiment
 kind, profile or error model) is looked up in the library's own table, in
@@ -27,6 +29,7 @@ import hashlib
 import io
 import json
 import operator
+import os
 import sys
 import time
 
@@ -38,7 +41,7 @@ from . import changepoint as cp
 from . import inference
 from .harness import _RANGE_HITS, ExperimentSpec, run_experiment
 from .lrv import lrv_selfnorm, lrv_stationary, select_block_length
-from .regression import fit_trend, regression_lrv, trend_ci
+from .regression import _check_not_exact, fit_trend, regression_lrv, trend_ci
 from .simgen import _ERROR_KINDS, _SIGMA_PROFILES, ErrorModel, SigmaProfile, SimModel, generate
 
 EXIT_PARSE = 3
@@ -47,7 +50,7 @@ EXIT_DEGENERATE = 5
 
 
 class CsvError(ValueError):
-    """Input file could not be parsed into a numeric column."""
+    """An input file could not be read, or parsed into a numeric column or a JSON config."""
 
 
 def ingest_csv(path: str, column=None, no_header: bool = False, index_col=None):
@@ -144,6 +147,15 @@ def _write(out, text: str) -> None:
         return
     with open(out, "w", newline="") as fh:
         fh.write(text)
+
+
+def _check_out(out) -> None:
+    """ValueError naming --out unless out, if given, names a file in a directory that exists.
+
+    main checks it before any input is read or any work is done.
+    """
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ValueError(f"--out: {out!r} is not a file in an existing directory")
 
 
 def _csv_text(rows) -> str:
@@ -253,6 +265,7 @@ def cmd_changepoint(args):
 def cmd_trend(args):
     x, _labels, inputs = _load_series(args)
     fit = fit_trend(x)
+    _check_not_exact(fit)  # an exact linear fit, before its residual blocks are judged
     est = regression_lrv(fit, args.blocks)
     return {
         "beta0_hat": fit.beta0_hat,
@@ -303,8 +316,13 @@ def cmd_experiment(args):
     fields["master_seed"] = args.seed
     config = {}
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # a JSON or decoding error is a ValueError
+            raise CsvError(f"cannot read {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ValueError(f"--config: expected a JSON object, got {type(config).__name__}")
     fields.update(config)
     unknown = set(fields) - names
     if unknown:
@@ -430,6 +448,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_out(args.out)
         done = globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except CsvError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,11 +158,16 @@ def normal_quantile(p: float) -> float:
 
 
 def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
-    """i.i.d. +-1 signs as int64: rng.integers(0, 2) bits mapped to 2b - 1 in place.
+    """i.i.d. +-1 signs as int8, one byte each: the top bit b of a uint32 word mapped to 2b - 1.
 
-    Integers are exact, so eps * signs equals the product with float signs.
+    rng.integers(0, 2) draws its bit as the top bit of one 32-bit word, so
+    these signs, and every draw after them, are those of 2 * integers(0, 2)
+    - 1. An int8 sign times a float64 value is cast exactly, so eps * signs
+    equals the product with float signs, and a batch holds n bytes per row.
     """
-    signs = rng.integers(0, 2, size=size)
+    words = rng.integers(0, 2**32, size=size, dtype=np.uint32)
+    words >>= 31
+    signs = words.astype(np.int8)
     signs *= 2
     signs -= 1
     return signs

@@ -413,6 +413,41 @@ class TestBootstrapKernels:
         assert_rows_match(stats, ok, ref, ref_ok, tau_sq > 1e-12)
         event(f"classical rows skipped: {skipped_share(~(tau_sq > 1e-12))}")
 
+    @pytest.mark.parametrize("variant", ["t1", "t2"])
+    def test_classical_rows_do_not_depend_on_the_slicing(self, monkeypatch, variant):
+        # 110 blocks of 11: a slice holds 13 replicates, so 40 rows run in 4 slices
+        n, k = 1210, 11
+        rng = np.random.default_rng(8)
+        xc = rng.normal(size=n)
+        xc -= xc.mean()
+        idx = rng.integers(0, n // k, (40, n // k))
+        idx[:3] = idx[:3, :1]  # one block repeated: equal block means, not ok
+        stat_rows = changepoint._classical_block_rows(xc, 0.1, k, variant)
+        stats, ok = stat_rows(idx)
+        assert 0 < ok.sum() < 40
+        one_by_one = [stat_rows(idx[i : i + 1]) for i in range(40)]
+        np.testing.assert_array_equal(stats, np.concatenate([r[0] for r in one_by_one]))
+        np.testing.assert_array_equal(ok, np.concatenate([r[1] for r in one_by_one]))
+        monkeypatch.setattr(core, "SLICE_ELEMS", 2**30)  # the whole batch in one slice
+        whole = stat_rows(idx)
+        np.testing.assert_array_equal(whole[0], stats)
+        np.testing.assert_array_equal(whole[1], ok)
+
+    def test_classical_rows_peak_memory_bounded_by_slice(self):
+        # at n = 10^5 a slice is one replicate: its gathered prefix sums are 0.8 MB
+        n, k = 100_000, 300
+        xc = np.random.default_rng(0).standard_normal(n)
+        xc -= xc.mean()
+        idx = np.random.default_rng(1).integers(0, n // k, (20, n // k))
+        stat_rows = changepoint._classical_block_rows(xc, 0.1, k, "t1")
+        tracemalloc.start()
+        try:
+            stat_rows(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
+
     def test_row_with_a_constant_prefix_runs_the_general_kernel(self, monkeypatch):
         # the first 12 splits of row 0 see one repeated value: its prefix css
         # at j = 12 is 0, under the bound, so the general kernel takes the row

@@ -208,6 +208,47 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {field}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("body", [None, "{bad", "\udcff"])
+    def test_unreadable_experiment_config_is_3(self, tmp_path, capsys, body):
+        # a missing file, a file that is not JSON, and one that is not UTF-8
+        cfg = tmp_path / "cfg.json"
+        if body is not None:
+            cfg.write_bytes(body.encode("utf-8", "surrogateescape"))
+        argv = ["experiment", "--kind", "coverage", "--methods", "sn", "--config", str(cfg)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {cfg}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("config, kind", [([1, 2], "list"), (3, "int"), (None, "NoneType")])
+    def test_experiment_config_that_is_not_an_object_is_4(self, tmp_path, capsys, config, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["experiment", "--kind", "coverage", "--methods", "sn", "--config", str(cfg)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --config: expected a JSON object, got {kind}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("where", ["no/such/dir/o.json", "."])
+    def test_out_that_cannot_be_written_is_4_before_input(self, tmp_path, capsys, monkeypatch, where):
+        # the CSV is not even read: a missing one would exit 3
+        out = str(tmp_path / where)
+        monkeypatch.setattr(cli, "ingest_csv", lambda *a, **k: pytest.fail("input was read"))
+        assert main(["lrv", str(tmp_path / "x.csv"), "--blocks", "10", "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [0.3, 1.0, 0.0])
+    def test_constant_trend_is_an_exact_fit(self, tmp_path, capsys, value):
+        # judged before the residual blocks, which are exactly 0 at 1.0 and 0.0
+        path = write_csv(tmp_path / "flat.csv", np.full(120, value))
+        assert main(["trend", path, "--blocks", "10"]) == 5
+        assert capsys.readouterr().err == (
+            "error: exact linear fit: residuals carry no variation\n"
+        )
+
     def test_error_model_that_is_not_a_label_is_4(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"error_models": [{"kind": "b1", "theta": 0.4}]}))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,14 +342,37 @@ class TestWildBootstrapKernel:
         np.testing.assert_array_equal(ok, reference_wb_stat_rows(eps * alpha, 4)[1])
         assert 0 < ok.sum() < 64
 
-    def test_rademacher_multipliers_are_exact_integers(self):
-        # the same stream as float signs, with no float product to build
-        signs = _multipliers(np.random.default_rng(0), "rademacher", (3, 7))
-        bits = np.random.default_rng(0).integers(0, 2, size=(3, 7))
-        assert signs.dtype == np.int64
+    @given(
+        rows=st.integers(min_value=1, max_value=9),
+        n=st.integers(min_value=1, max_value=257),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rademacher_multipliers_are_exact_integers(self, rows, n, seed):
+        # one byte per sign, the stream of 0/1 bits, and the same draws after it:
+        # an odd number of values leaves half a 64-bit output buffered for the
+        # next 32-bit draw, so the generator states must agree in full
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        signs = _multipliers(rng, "rademacher", (rows, n))
+        bits = twin.integers(0, 2, size=(rows, n))
+        assert signs.dtype == np.int8
         np.testing.assert_array_equal(signs, 2 * bits - 1)
-        eps = random_series(1, 7)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_array_equal(rng.integers(0, 2, size=3), twin.integers(0, 2, size=3))
+        assert rng.random() == twin.random()
+        eps = random_series(seed, n)
         np.testing.assert_array_equal(eps * signs, eps * (2.0 * bits - 1.0))
+
+    def test_sign_batch_holds_one_byte_per_value(self):
+        # one byte per sign: a 10-row half batch at n = 10^5 holds 10^6 bytes
+        tracemalloc.start()
+        try:
+            signs = _multipliers(np.random.default_rng(0), "rademacher", (10, 100_000))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert signs.nbytes == 10**6
+        assert held <= 2**20, held
 
 
 class TestBlockBootstrap:
