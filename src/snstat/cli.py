@@ -11,7 +11,8 @@ the report.
 Exit codes: 0 success, 2 usage error, 3 input parse error (a CSV or a
 --config file that cannot be read or parsed), 4 infeasible parameters
 (a --config that is not a JSON object, an --out whose directory does not
-exist), 5 degenerate data. argparse decides exit 2: an unknown flag, a
+exist, a result that is not finite, which strict JSON cannot hold), 5
+degenerate data. argparse decides exit 2: an unknown flag, a
 missing or malformed number, two exclusive flags together, or a --format it
 does not list. Every other name (a method, test, multiplier law, experiment
 kind, profile or error model) is looked up in the library's own table, in
@@ -138,6 +139,14 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, np.floating)):
         return obj.item()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
+
+
+def _report_text(report: dict) -> str:
+    """The report as strict JSON; a ValueError if a result is not finite (JSON has no NaN or inf)."""
+    try:
+        return json.dumps(report, indent=2, default=_jsonable, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a result is not finite, so the report cannot be written") from None
 
 
 def _write(out, text: str) -> None:
@@ -450,6 +459,17 @@ def main(argv=None) -> int:
     try:
         _check_out(args.out)
         done = globals()["cmd_" + args.cmd.replace("-", "_")](args)
+        if done is not None:
+            results, inputs = done
+            report = {
+                "command": " ".join(argv),
+                "inputs": inputs,
+                "seed": getattr(args, "seed", None),
+                "version": __version__,
+                "elapsed_s": round(time.perf_counter() - t0, 3),
+                "results": results,
+            }
+            _write(args.out, _report_text(report))
     except CsvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -459,17 +479,6 @@ def main(argv=None) -> int:
     except (InsufficientBlocksError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if done is not None:
-        results, inputs = done
-        report = {
-            "command": " ".join(argv),
-            "inputs": inputs,
-            "seed": getattr(args, "seed", None),
-            "version": __version__,
-            "elapsed_s": round(time.perf_counter() - t0, 3),
-            "results": results,
-        }
-        _write(args.out, json.dumps(report, indent=2, default=_jsonable) + "\n")
     return 0
 
 

@@ -164,8 +164,8 @@ def _tau_sq_stationary_rows(xmat: np.ndarray, k_n: int):
 
 
 def default_k_grid(n: int) -> list[int]:
-    """Block lengths 4..floor(n/4) that leave at least four blocks."""
-    return [k for k in range(4, n // 4 + 1) if n // k >= 4]
+    """Block lengths 4..floor(n/4), each of which leaves at least four blocks."""
+    return list(range(4, n // 4 + 1))
 
 
 def select_block_length(

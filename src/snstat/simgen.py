@@ -78,8 +78,8 @@ def sigma_values(kind: str, n: int, value: float = 1.0, custom=()) -> np.ndarray
 
 
 def _rng(seed) -> np.random.Generator:
-    """The generator of an integer seed; every simgen draw starts here."""
-    return np.random.default_rng(_check_int("seed", seed))
+    """The generator of an integer seed >= 0; every simgen draw starts here."""
+    return np.random.default_rng(_check_int("seed", seed, 0))
 
 
 # kind -> (parameter its label carries, draw(model, n, seed)); the draws name
@@ -252,7 +252,14 @@ class SimModel:
 
 
 def generate(model: SimModel) -> np.ndarray:
-    """Materialize one series from the model, bit-reproducible per seed."""
+    """Materialize one series from the model, bit-reproducible per seed.
+
+    A series that overflows (a huge mu, lam or sigma) raises ValueError.
+    """
     sig = model.sigma.materialize()
     e = model.error.generate(model.n, model.seed)
-    return model.mean_values() + sig * e
+    with np.errstate(over="ignore"):
+        x = model.mean_values() + sig * e
+    if not np.isfinite(x).all():
+        raise ValueError("series is not finite: mu, lam or sigma is too large")
+    return x
