@@ -257,7 +257,7 @@ def _sn_stat_slice(xmat: np.ndarray, splits, k_n: int):
     max_t = t[np.arange(t.shape[0]), i_hat]
     eps = _split_residual_rows(xc, cs, splits[0][i_hat])
     tau_sq, ok = _tau_sq_selfnorm_rows(eps, k_n)
-    ok &= np.all(pos, axis=1) & (tau_sq > 0.0)
+    ok &= np.all(pos, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return max_t / np.sqrt(tau_sq), ok
 
@@ -453,8 +453,8 @@ def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
     the block means. A replicate's prefix sums are its blocks' rows of that
     table plus the running total of the blocks before them, and its tau^2
     comes from its blocks' means, so no resampled series is gathered and
-    none is summed. ok flags rows whose block means are not all equal, as
-    in `_tau_sq_stationary_rows`. The index rows run in `_in_slices`, sized
+    none is summed. ok flags rows with tau^2 > 0, as in
+    `_tau_sq_stationary_rows`. The index rows run in `_in_slices`, sized
     by the n' = k_n * l_n values each replicate stands for, so the gathered
     prefix sums and the scan stay within one slice budget whatever B is.
     """
@@ -479,7 +479,7 @@ def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
         bm = means[idx]
         tau_sq = _mean_sq(_d_stationary(bm, bm.mean(axis=1), k_n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return values.max(axis=1) / np.sqrt(tau_sq), ~_all_equal(bm)
+            return values.max(axis=1) / np.sqrt(tau_sq), tau_sq > 0.0
 
     return lambda idx: _in_slices(idx, stat_slice, n)
 

@@ -62,14 +62,13 @@ def ingest_csv(path: str, column=None, no_header: bool = False, index_col=None):
     raises CsvError. By default the value column is the only column, or
     else the second, counted on the header when there is one. A missing
     column or an unparseable cell raises CsvError naming the first bad
-    data row.
+    data row. The file is read as UTF-8, after a byte-order mark if it has one.
     """
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(filter(None, csv.reader(fh)))  # empty rows are skipped
+    except (OSError, UnicodeDecodeError) as exc:
         raise CsvError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        rows = list(filter(None, csv.reader(fh)))  # empty rows are skipped
     if not rows:
         raise CsvError(f"{path}: empty file")
 
@@ -341,9 +340,10 @@ def cmd_experiment(args):
             fields[key] = _list_of(key if key in config else flag, fields[key], read)
     result = run_experiment(ExperimentSpec(**fields), workers=args.threads)
     rows = result.to_rows()
-    if args.format == "table":
+    fmt = args.format or ("csv" if args.out and args.out.endswith(".csv") else "json")
+    if fmt == "table":
         _write(args.out, result.to_table() + "\n")
-    elif args.format == "csv" or (args.out and args.out.endswith(".csv")):
+    elif fmt == "csv":
         _write(args.out, _csv_text([list(rows[0])] + [list(row.values()) for row in rows]))
     else:
         return {"cells": rows, "wall_time_s": result.wall_time}, {}
@@ -440,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambdas", dest="lambda_grid")
     sp.add_argument("--calibration-reps", type=int)
     sp.add_argument("--threads", type=int, default=1, help="worker processes to start")
-    sp.add_argument("--format", choices=["json", "csv", "table"], default="json")
+    sp.add_argument("--format", choices=["json", "csv", "table"], default=None,
+                    help="default: csv if --out ends in .csv, else json")
     add_io(sp, csv_in=False)
 
     return p

@@ -18,7 +18,6 @@ import numpy as np
 from . import core
 from .core import (
     DegenerateDataError,
-    _all_equal,
     _check_int,
     _choice,
     _is_real,
@@ -229,7 +228,7 @@ def _wb_stat_rows(eps: np.ndarray, k_n: int, law: str):
             tau_sq = _mean_sq(dev / np.sqrt(css))
             vn_sq = css.sum(axis=1) + np.sum(dev * dev, axis=1) / k_n + np.sum(rem * rem, axis=1)
             h = s / (np.sqrt(tau_sq) * np.sqrt(vn_sq))
-        return h, ~degenerate.any(axis=1)
+        return h, ~degenerate.any(axis=1) & (tau_sq > 0.0)
 
     return stat_rows
 
@@ -382,8 +381,7 @@ def block_bootstrap_mean(
             return xi, np.ones(xi.size, dtype=bool)
         tau_sq = _mean_sq(_d_stationary(bm, means, k_n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            # equal block means make tau^2 = 0, however the row mean rounds
-            return xi / np.sqrt(tau_sq), ~_all_equal(bm)
+            return xi / np.sqrt(tau_sq), tau_sq > 0.0
 
     out = _resample(B, l_n, draw, stat_rows)
     return BootstrapDistribution(values=out, B=B, seed=seed)

@@ -38,12 +38,6 @@ class LongRunEstimate:
     method: str  # "selfnorm" or "stationary"
 
 
-def _block_means(xmat: np.ndarray, k_n: int):
-    """Blocks (B, l_n, k_n) of each row of a (B, n) matrix and their means (B, l_n)."""
-    blocks = partition(xmat.shape[1], k_n).view(xmat)
-    return blocks, blocks.mean(axis=2)
-
-
 def _d_selfnorm_rows(xmat: np.ndarray, k_n: int):
     """Self-normalized D_j of each row of a (B, n) matrix, and its (B, l_n) degenerate blocks.
 
@@ -74,9 +68,21 @@ def _block_css(bs: np.ndarray, bq: np.ndarray, k_n: int, values, redo=None):
     return css, degenerate
 
 
-def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int) -> np.ndarray:
-    """Stationary D_j from (B, l_n) block means and the (B,) row means."""
-    return np.sqrt(k_n) * (bm - means[:, None])
+def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int, rem=None) -> np.ndarray:
+    """Stationary D_j from (B, l_n) block means, the (B,) row means and a (B, r) remainder.
+
+    A row has no variation when its block means and remainder values all equal
+    its first block mean: its D_j, so its tau^2, are exact 0 however its mean rounds.
+    """
+    d = np.sqrt(k_n) * (bm - means[:, None])
+    d[_all_equal(bm if rem is None else np.concatenate((bm, rem), axis=1))] = 0.0
+    return d
+
+
+def _d_stationary_rows(xmat: np.ndarray, part) -> np.ndarray:
+    """`_d_stationary` of each row of a (B, n) matrix cut by the partition part."""
+    bm = part.view(xmat).mean(axis=2)
+    return _d_stationary(bm, xmat.mean(axis=1), part.k_n, xmat[:, part.covered :])
 
 
 def _mean_sq(d: np.ndarray) -> np.ndarray:
@@ -85,12 +91,11 @@ def _mean_sq(d: np.ndarray) -> np.ndarray:
 
 
 def _tau(est: LongRunEstimate) -> float:
-    """tau_hat of an estimate, the one way a statistic takes it; DegenerateDataError if 0.
+    """tau_hat of an estimate, the one way a statistic takes it; DegenerateDataError unless > 0.
 
-    tau^2_hat is exactly 0 when every block mean equals the overall mean: the
-    estimators return it, no statistic can use it. Rounding noise passes.
+    tau^2 > 0 is also the ok predicate of every tau^2 row kernel. Rounding noise passes.
     """
-    if est.tau_sq_hat == 0.0:
+    if not est.tau_sq_hat > 0.0:
         raise DegenerateDataError(f"degenerate data: zero {est.method} tau estimate")
     return math.sqrt(est.tau_sq_hat)
 
@@ -130,37 +135,34 @@ def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
 def lrv_stationary(x, k_n: int) -> LongRunEstimate:
     """Non-normalized blockwise estimate D_j = sqrt(k_n)(block mean - mean).
 
-    Valid only under stationarity; kept as the comparator. Degenerate
-    blocks are allowed since no per-block normalization occurs. This is
-    the B = 1 row of `_tau_sq_stationary_rows`.
+    Valid only under stationarity; kept as the comparator. Degenerate blocks
+    are allowed: no block is normalized. The B = 1 row of `_tau_sq_stationary_rows`.
     """
     x = as_series(x)
     part = partition(x.size, k_n)
-    d = _d_stationary(_block_means(x[None], k_n)[1], x[None].mean(axis=1), k_n)
-    return _estimate(part, d, "stationary")
+    return _estimate(part, _d_stationary_rows(x[None], part), "stationary")
 
 
 def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
     """Row-wise self-normalized tau^2 for a (B, n) matrix.
 
-    Returns (tau_sq, ok) where ok flags rows without degenerate blocks,
-    by the rule `lrv_selfnorm` raises on. Used by `inference._resample`,
-    which evaluates thousands of resampled series per call.
+    Returns (tau_sq, ok): ok flags rows with tau^2 > 0 and no degenerate
+    block, the rules `_tau` and `lrv_selfnorm` raise on. Used by
+    `inference._resample`, which evaluates thousands of resampled series.
     """
     d, degenerate = _d_selfnorm_rows(xmat, k_n)
-    return _mean_sq(d), ~degenerate.any(axis=1)
+    tau_sq = _mean_sq(d)
+    return tau_sq, ~degenerate.any(axis=1) & (tau_sq > 0.0)
 
 
 def _tau_sq_stationary_rows(xmat: np.ndarray, k_n: int):
     """Row-wise stationary tau^2 for a (B, n) matrix.
 
-    Returns (tau_sq, ok): ok flags rows whose block means are not all
-    equal, as tau^2 is 0 on the others however their means round. The
-    studentized block bootstrap runs only `_d_stationary` on the block
-    means it gathers.
+    Returns (tau_sq, ok): ok flags rows with tau^2 > 0, as `_tau` asks.
+    The block bootstraps run `_d_stationary` on the block means they gather.
     """
-    bm = _block_means(xmat, k_n)[1]
-    return _mean_sq(_d_stationary(bm, xmat.mean(axis=1), k_n)), ~_all_equal(bm)
+    tau_sq = _mean_sq(_d_stationary_rows(xmat, partition(xmat.shape[1], k_n)))
+    return tau_sq, tau_sq > 0.0
 
 
 def default_k_grid(n: int) -> list[int]:

@@ -82,12 +82,28 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(_check_int("seed", seed, 0))
 
 
-# kind -> (parameter its label carries, draw(model, n, seed)); the draws name
-# gen_b1 and gen_b2 at call time, so a wrapper installed on the module is seen
+def _check_theta(theta) -> None:
+    """ValueError unless theta is a finite number with |theta| < 1, as b1 needs."""
+    if not _is_real(theta):
+        raise ValueError(f"theta: expected a finite number, got {theta!r}")
+    if abs(theta) >= 1:
+        raise ValueError(f"b1 requires |theta| < 1, got theta={theta}")
+
+
+def _check_beta(beta) -> None:
+    """ValueError unless beta is a finite number > 1/2, as b2 needs."""
+    if not _is_real(beta):
+        raise ValueError(f"beta: expected a finite number, got {beta!r}")
+    if beta <= 0.5:
+        raise ValueError(f"b2 requires beta > 1/2, got beta={beta}")
+
+
+# kind -> (parameter its label carries, its check, draw(model, n, seed)); the draws
+# name gen_b1 and gen_b2 at call time, so a wrapper installed on the module is seen
 _ERROR_KINDS = {
-    "b1": ("theta", lambda m, n, seed: gen_b1(n, m.theta, seed, burn_in=m.burn_in)),
-    "b2": ("beta", lambda m, n, seed: gen_b2(n, m.beta, seed)),
-    "iid": (None, lambda m, n, seed: _rng(seed).standard_normal(_check_int("n", n, 1))),
+    "b1": ("theta", _check_theta, lambda m, n, seed: gen_b1(n, m.theta, seed, m.burn_in)),
+    "b2": ("beta", _check_beta, lambda m, n, seed: gen_b2(n, m.beta, seed)),
+    "iid": (None, None, lambda m, n, seed: _rng(seed).standard_normal(_check_int("n", n, 1))),
 }
 
 
@@ -100,6 +116,8 @@ class ErrorModel:
     1 - 2*theta^2/pi. kind "b2": causal linear filter with weights
     a_j proportional to (j+1)^{-beta}, renormalized to unit variance.
     kind "iid": standard Gaussians. kind, in any letter case, is stored in lower case.
+    The parameter the kind's label carries, and burn_in, are checked when the
+    model is built, by the checks its generator runs.
     """
 
     kind: str = "iid"
@@ -109,6 +127,10 @@ class ErrorModel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _choice("kind", self.kind, _ERROR_KINDS))
+        param, check, _draw = _ERROR_KINDS[self.kind]
+        if param:
+            check(getattr(self, param))
+        _check_int("burn_in", self.burn_in, 0)
 
     def label(self) -> str:
         """The short name iid, b1:<theta> or b2:<beta>; parse() reads it back."""
@@ -119,23 +141,25 @@ class ErrorModel:
     def parse(cls, label: str) -> ErrorModel:
         """The model a label() names, in any letter case: "B1:0.4" is ErrorModel("b1", 0.4).
 
-        Anything else, a non-string too, raises ValueError("bad error model token: …").
+        Anything else, a non-string too, raises ValueError("bad error model token: …"),
+        with the reason in parentheses.
         """
         if not isinstance(label, str):
-            raise ValueError(f"bad error model token: {label!r}")
+            raise ValueError(f"bad error model token: {label!r} (not a string)")
         token = label.strip()
         kind, colon, value = token.partition(":")
         try:
-            model = cls(kind)
-            param = _ERROR_KINDS[model.kind][0]
-            if bool(colon) == bool(param):
-                return cls(model.kind, **{param: float(value)}) if param else model
-        except ValueError:
-            pass
-        raise ValueError(f"bad error model token: {token!r}")
+            kind = _choice("kind", kind, _ERROR_KINDS)
+            param = _ERROR_KINDS[kind][0]
+            if bool(colon) != bool(param):
+                wants = f"a value, {kind}:<{param}>" if param else "no value"
+                raise ValueError(f"{kind} takes {wants}")
+            return cls(kind, **{param: float(value)}) if param else cls(kind)
+        except ValueError as exc:
+            raise ValueError(f"bad error model token: {token!r} ({exc})") from None
 
     def generate(self, n: int, seed) -> np.ndarray:
-        return _ERROR_KINDS[self.kind][1](self, n, seed)
+        return _ERROR_KINDS[self.kind][2](self, n, seed)
 
 
 def gen_b1(n: int, theta: float, seed, burn_in: int = DEFAULT_BURN_IN) -> np.ndarray:
@@ -148,10 +172,7 @@ def gen_b1(n: int, theta: float, seed, burn_in: int = DEFAULT_BURN_IN) -> np.nda
     cost per step; a memoryview hands the scaled innovations over one
     float at a time, so no list of n Python floats is held.
     """
-    if not _is_real(theta):
-        raise ValueError(f"theta: expected a finite number, got {theta!r}")
-    if abs(theta) >= 1:
-        raise ValueError(f"b1 requires |theta| < 1, got theta={theta}")
+    _check_theta(theta)
     n, burn_in = _check_int("n", n, 1), _check_int("burn_in", burn_in, 0)
     eps = _rng(seed).standard_normal(burn_in + n)
     if theta == 0.0:
@@ -172,10 +193,7 @@ def b2_weights(beta: float, truncation: int | None = None) -> np.ndarray:
     The default truncation keeps terms until the raw weight (J+1)^{-beta}
     drops below 1e-10 (capped at 1e5 terms), then renormalizes.
     """
-    if not _is_real(beta):
-        raise ValueError(f"beta: expected a finite number, got {beta!r}")
-    if beta <= 0.5:
-        raise ValueError(f"b2 requires beta > 1/2, got beta={beta}")
+    _check_beta(beta)
     if truncation is None:
         trunc = min(int(math.ceil(_TRUNCATION_TOL ** (-1.0 / beta))) , _TRUNCATION_CAP)
     else:

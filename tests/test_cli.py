@@ -423,6 +423,17 @@ FILES = {
     "bad.csv": "value\n" + "".join(f"{v}\n" for v in [*range(16), "oops", *range(17, 30)]),
     "two.csv": "i,v\n" + "".join(f"{i},{i / 7!r}\n" for i in range(30)),
     "pandas.csv": ",0,1\n" + "".join(f"{i},{i},{i * i}\n" for i in range(40)),  # as pandas writes
+    # every k = 3 block is (0.1, 0.7, 0.3): the block means are equal, though
+    # the overall mean rounds off them, so the stationary tau_hat is 0
+    "tile3.csv": _column([0.1, 0.7, 0.3] * 40),
+    # equal k = 3 blocks and a remainder that moves the mean: tau_hat > 0, but
+    # no block resample varies
+    "rem.csv": _column([1.0] * 12 + [5.0]),
+    # Excel's "CSV UTF-8" starts with a byte-order mark; latin-1 is not UTF-8
+    "bom.csv": "\ufeff" + _simulated(240),
+    "headless.csv": _simulated(240).partition("\n")[2],
+    "bom_headless.csv": "\ufeff" + _simulated(240).partition("\n")[2],
+    "latin1.csv": ("café\n" + "".join(f"{v}\n" for v in range(30))).encode("latin-1"),
 }
 
 
@@ -430,9 +441,10 @@ FILES = {
 class Case:
     """One call of the CLI and what it must do.
 
-    Exit 0 prints no stderr, and stdout is one strict JSON report, or `lines`
-    lines; any other exit prints no stdout, and stderr holds `err` (past exit 2,
-    as one line "error: ..."). With same_as, `results` equals that row's.
+    Exit 0 prints no stderr, and stdout, or the file `read` if given, is one
+    strict JSON report, or `lines` lines; any other exit prints no stdout, and
+    stderr holds `err` (past exit 2, as one line "error: ..."). With same_as,
+    `results` equals that row's.
     """
 
     argv: str
@@ -442,6 +454,7 @@ class Case:
     lines: int | None = None
     files: dict = dataclasses.field(default_factory=dict)  # name -> contents, beside FILES'
     same_as: str | None = None
+    read: str | None = None  # an --out file whose text is checked as stdout is
     id: str = ""
 
     def __post_init__(self):
@@ -509,6 +522,20 @@ CASES = [
          "--format csv", lines=2, out="\nA1,"),
     Case("experiment --kind size --profiles A1 --errors B1:0.8,b1:0.8 --methods SN,t1 --reps 2 "
          "--boot 10 --format csv", lines=3),
+    # --format decides over the suffix of --out, which decides only without it
+    Case("experiment --kind size --profiles A1 --methods sn --reps 2 --boot 10 --format json "
+         "--out r.csv", read="r.csv"),
+    Case("experiment --kind size --profiles A1 --methods sn --reps 2 --boot 10 --out r.csv",
+         lines=2, read="r.csv"),
+    # a CSV is read as UTF-8, after a byte-order mark if it has one
+    Case("lrv headless.csv --blocks 10 --no-header"),
+    Case("lrv bom_headless.csv --blocks 10 --no-header", same_as="lrv headless.csv --blocks 10 "
+         "--no-header"),
+    Case("lrv x.csv --blocks 10 --col value"),
+    Case("lrv bom.csv --blocks 10 --col value", same_as="lrv x.csv --blocks 10 --col value"),
+    # the stationary tau_hat of a series with no variation between blocks is 0 whatever
+    # its mean rounds to; with a remainder that moves the mean it is not
+    Case("lrv rem.csv --blocks 3 --stationary", out='"tau_sq_hat": 0.2840236686390532'),
     # two power cells run as two tasks in the process pool
     Case("experiment --kind power --threads 2 --profiles A1,A2 --methods sn,t1 --reps 4 "
          "--calibration-reps 20 --lambdas 0,1 --format csv", lines=9),
@@ -528,6 +555,7 @@ CASES = [
     *[Case(COVERAGE + " --config cfg.json", 3, "error: cannot read cfg.json: ",
            files={"cfg.json": body})
       for body in ["{bad", "\udcff".encode("utf-8", "surrogateescape")]],  # not JSON, not UTF-8
+    Case("lrv latin1.csv --blocks 5", 3, "error: cannot read latin1.csv: 'utf-8' codec"),
     # infeasible parameters (exit 4)
     Case("lrv short.csv --blocks 15", 4, "insufficient blocks"),
     *[Case(f"ci x.csv --blocks 5 --method {m} --alpha 1.5", 4, "alpha must be in (0, 1]")
@@ -549,6 +577,12 @@ CASES = [
            f"error: --blocks: expected comma-separated integers, got '{k}'") for k in ["x", "2.5"]],
     Case(SIZE + " --lambdas 0,x", 4, "error: --lambdas: expected comma-separated numbers, got 'x'"),
     Case(SIZE + " --errors iid,b9", 4, "error: --errors: bad error model token: 'b9'"),
+    # a bad error model fails when it is read, before any worker process starts
+    *[Case(SIZE + f" --errors {e} --threads 2", 4, f"error: --errors: bad error model token: {r}")
+      for e, r in [("b1:2", "'b1:2' (b1 requires |theta| < 1, got theta=2.0)"),
+                   ("b2:nan", "'b2:nan' (beta: expected a finite number, got nan)")]],
+    Case("simulate --n 5 --error b1 --theta 0.4 --burn-in -3", 4,
+         "error: burn_in must be >= 0, got -3"),
     *[Case(SIZE + " --blocks 10 --config cfg.json", 4, f"error: {err}", files=cfg(config))
       for config, err in [
           ({"k_values": "10,x"}, "k_values: expected comma-separated integers, got 'x'"),
@@ -594,6 +628,13 @@ CASES = [
     *[Case(f"ci tile4.csv --method {m} --blocks 6 --bootstrap 50", 5, "degenerate")
       for m in ["sn", "wb", "st", "bb", "sbb"]],
     Case("ci-combo tile4.csv --weights 1 --blocks 6", 5, "degenerate"),
+    # equal block means make the stationary tau_hat 0, however the overall mean rounds
+    *[Case(f"ci tile3.csv --method {m} --blocks 3 --bootstrap 50", 5,
+           "error: degenerate data: zero stationary tau estimate") for m in ["st", "bb", "sbb"]],
+    *[Case(f"changepoint tile3.csv --test {t} --blocks 3 --bootstrap 50", 5,
+           "error: degenerate data: zero stationary tau estimate") for t in ["t1", "t2"]],
+    # its blocks are equal, so no block resample varies: the redraw cap stops it
+    Case("changepoint rem.csv --test t1 --blocks 3 --bootstrap 50", 5, "redraw cap"),
     # a name flag takes its table's names in any letter case, and no other name,
     # which exits 4 before any CSV is read
     *[case for base, flag, canonical, spelled, name in NAMES for case in [
@@ -636,6 +677,9 @@ def check(case: Case, run, where: Path) -> None:
                 assert err.startswith("error: ") and err.count("\n") == 1, err
             return None
         assert err == ""
+        if row.read:
+            assert out == ""
+            out = (where / row.read).read_text()
         assert row.out in out
         if row.lines is not None:
             assert len(out.splitlines()) == row.lines, out

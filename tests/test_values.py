@@ -243,6 +243,27 @@ class TestBadValuesFailLoudly:
         with pytest.raises(ValueError, match=f"^{name}: expected a finite number"):
             call(bad)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ErrorModel("b1", theta=5.0), r"^b1 requires \|theta\| < 1, got theta=5\.0$"),
+            (lambda: ErrorModel("b2", beta=0.5), "^b2 requires beta > 1/2, got beta=0.5$"),
+            (lambda: ErrorModel("b1", theta=float("nan")), "^theta: expected a finite number"),
+            (lambda: ErrorModel(burn_in=-3), "^burn_in must be >= 0, got -3$"),
+            (lambda: ErrorModel("b1", theta=0.4, burn_in=2.5), "^burn_in: expected an integer"),
+            (lambda: ErrorModel.parse("b2:nan"),
+             r"^bad error model token: 'b2:nan' \(beta: expected a finite number, got nan\)$"),
+            (lambda: ErrorModel.parse("b1:2"),
+             r"^bad error model token: 'b1:2' \(b1 requires \|theta\| < 1, got theta=2.0\)$"),
+            (lambda: ErrorModel.parse("b1"), r"^bad error model token: 'b1' \(b1 takes a value"),
+            (lambda: ErrorModel.parse("iid:3"), r"\(iid takes no value\)$"),
+        ],
+    )
+    def test_error_model_checked_when_built(self, call, message):
+        # each used to be built, and to fail, if at all, when a series was drawn
+        with pytest.raises(ValueError, match=message):
+            call()
+
     @pytest.mark.parametrize("j", [True, 2.5])
     def test_cusum_split_must_be_an_integer(self, x, j):
         # both used to fail inside NumPy with "slice indices must be integers"
