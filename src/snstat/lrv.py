@@ -68,21 +68,24 @@ def _block_css(bs: np.ndarray, bq: np.ndarray, k_n: int, values, redo=None):
     return css, degenerate
 
 
-def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int, rem=None) -> np.ndarray:
-    """Stationary D_j from (B, l_n) block means, the (B,) row means and a (B, r) remainder.
+def _d_stationary(bm: np.ndarray, means: np.ndarray, k_n: int, xmat=None) -> np.ndarray:
+    """Stationary D_j from (B, l_n) block means, the (B,) row means and the (B, n) rows.
 
-    A row has no variation when its block means and remainder values all equal
-    its first block mean: its D_j, so its tau^2, are exact 0 however its mean rounds.
+    A row has no variation when its block means are equal and its remainder equals them or
+    all its values are equal: its D_j, so its tau^2, are exact 0 however its means round.
     """
     d = np.sqrt(k_n) * (bm - means[:, None])
-    d[_all_equal(bm if rem is None else np.concatenate((bm, rem), axis=1))] = 0.0
+    flat = _all_equal(bm)
+    if xmat is not None and flat.any():
+        x = xmat[flat]
+        flat[flat] = np.all(x[:, k_n * bm.shape[1] :] == bm[flat, :1], axis=1) | _all_equal(x)
+    d[flat] = 0.0
     return d
 
 
 def _d_stationary_rows(xmat: np.ndarray, part) -> np.ndarray:
     """`_d_stationary` of each row of a (B, n) matrix cut by the partition part."""
-    bm = part.view(xmat).mean(axis=2)
-    return _d_stationary(bm, xmat.mean(axis=1), part.k_n, xmat[:, part.covered :])
+    return _d_stationary(part.view(xmat).mean(axis=2), xmat.mean(axis=1), part.k_n, xmat)
 
 
 def _mean_sq(d: np.ndarray) -> np.ndarray:
@@ -102,8 +105,7 @@ def _tau(est: LongRunEstimate) -> float:
 
 def _estimate(part, d_rows: np.ndarray, method: str) -> LongRunEstimate:
     """The estimate whose D_j are the single row of d_rows."""
-    tau_sq = float(_mean_sq(d_rows)[0])
-    return LongRunEstimate(tau_sq, part.k_n, part.l_n, d_rows[0], method)
+    return LongRunEstimate(float(_mean_sq(d_rows)[0]), part.k_n, part.l_n, d_rows[0], method)
 
 
 def lrv_selfnorm(x, k_n: int) -> LongRunEstimate:
@@ -146,9 +148,8 @@ def lrv_stationary(x, k_n: int) -> LongRunEstimate:
 def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
     """Row-wise self-normalized tau^2 for a (B, n) matrix.
 
-    Returns (tau_sq, ok): ok flags rows with tau^2 > 0 and no degenerate
-    block, the rules `_tau` and `lrv_selfnorm` raise on. Used by
-    `inference._resample`, which evaluates thousands of resampled series.
+    Returns (tau_sq, ok): ok flags rows with tau^2 > 0 and no degenerate block, the
+    rules `_tau` and `lrv_selfnorm` raise on. `inference._resample` runs it on resamples.
     """
     d, degenerate = _d_selfnorm_rows(xmat, k_n)
     tau_sq = _mean_sq(d)
@@ -158,8 +159,7 @@ def _tau_sq_selfnorm_rows(xmat: np.ndarray, k_n: int):
 def _tau_sq_stationary_rows(xmat: np.ndarray, k_n: int):
     """Row-wise stationary tau^2 for a (B, n) matrix.
 
-    Returns (tau_sq, ok): ok flags rows with tau^2 > 0, as `_tau` asks.
-    The block bootstraps run `_d_stationary` on the block means they gather.
+    Returns (tau_sq, ok): ok where tau^2 > 0. Block bootstraps call `_d_stationary` directly.
     """
     tau_sq = _mean_sq(_d_stationary_rows(xmat, partition(xmat.shape[1], k_n)))
     return tau_sq, tau_sq > 0.0

@@ -429,6 +429,8 @@ FILES = {
     # equal k = 3 blocks and a remainder that moves the mean: tau_hat > 0, but
     # no block resample varies
     "rem.csv": _column([1.0] * 12 + [5.0]),
+    # constant, but its overall mean rounds off its k = 3 block means: tau_hat is 0 all the same
+    "const7.csv": _column([0.1] * 7),
     # Excel's "CSV UTF-8" starts with a byte-order mark; latin-1 is not UTF-8
     "bom.csv": "\ufeff" + _simulated(240),
     "headless.csv": _simulated(240).partition("\n")[2],
@@ -633,6 +635,8 @@ CASES = [
            "error: degenerate data: zero stationary tau estimate") for m in ["st", "bb", "sbb"]],
     *[Case(f"changepoint tile3.csv --test {t} --blocks 3 --bootstrap 50", 5,
            "error: degenerate data: zero stationary tau estimate") for t in ["t1", "t2"]],
+    *[Case(f"ci const7.csv --method {m} --blocks 3 --bootstrap 50", 5,
+           "error: degenerate data: zero stationary tau estimate") for m in ["st", "bb", "sbb"]],
     # its blocks are equal, so no block resample varies: the redraw cap stops it
     Case("changepoint rem.csv --test t1 --blocks 3 --bootstrap 50", 5, "redraw cap"),
     # a name flag takes its table's names in any letter case, and no other name,

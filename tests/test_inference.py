@@ -307,6 +307,9 @@ class TestWildBootstrapKernel:
         degenerate = _d_selfnorm_rows(eps * alpha, k)[1].any(axis=1)
         compare = degenerate | (tau_sq > 1e-12)
         np.testing.assert_array_equal(ok[compare], ok_ref[compare])
+        # on the others only a tau^2 rounded to exactly 0 may clear ok, and it leaves h
+        # non-finite; a wrongly flagged block would leave h finite
+        assert np.all((ok | ~np.isfinite(h))[~compare])
         # where every block mean equals the row mean, tau^2 = 0 and h = 0/0:
         # both kernels give rounding noise, inf or nan there
         rows = ok & (tau_sq > 1e-12)

@@ -60,6 +60,7 @@ PAIRS = {
 TILE = np.tile([0.1, 0.7, 0.3], 40)  # equal block means; the mean rounds off them
 REMAINDER = np.array([1.0] * 12 + [5.0])  # equal blocks; the remainder moves the mean
 TINY = np.random.default_rng(0).normal(size=40) * 1e-170  # every D_j^2 underflows
+CONSTANT = np.full(7, 0.1)  # its k = 3 block means and its mean round off 0.1, apart
 
 
 def assert_scalar_is_row(x, k):
@@ -84,13 +85,17 @@ def series(draw):
     l_n = draw(st.integers(2, 12))
     r = draw(st.integers(0, k - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    family = draw(st.sampled_from(["random", "pm_tile", "equal_means", "constant_blocks"]))
+    family = draw(
+        st.sampled_from(["random", "pm_tile", "equal_means", "constant_blocks", "constant"])
+    )
     if family == "random":
         x = rng.normal(size=l_n * k + r)
     elif family == "pm_tile":  # +-v pairs: blocks of even length have mean 0
         x = np.resize([1.0, -1.0], l_n * k + r) * rng.uniform(0.01, 10.0)
     elif family == "equal_means":  # one block repeated, its first values as the remainder
         x = np.resize(rng.uniform(-1.0, 1.0, k).round(draw(st.integers(1, 3))), l_n * k + r)
+    elif family == "constant":  # one value throughout; its block means may round off it
+        x = np.full(l_n * k + r, round(rng.uniform(-1.0, 1.0), draw(st.integers(1, 3))))
     else:  # each block one value, drawn from a few
         x = np.repeat(rng.choice([0.1, 0.3, 2 / 3], l_n), k)
         x = np.concatenate((x, rng.normal(size=r)))
@@ -103,23 +108,33 @@ def series(draw):
 @example(case=(TILE, 3))
 @example(case=(REMAINDER, 3))
 @example(case=(TINY, 10))
+@example(case=(CONSTANT, 3))
+@example(case=(np.full(13, 0.1), 3))  # its block means and its mean round alike
 @given(case=series())
 @settings(max_examples=300, deadline=None)
 def test_scalar_raises_where_its_row_is_not_ok(case):
-    for name in assert_scalar_is_row(*case):
+    raised = assert_scalar_is_row(*case)
+    x = case[0]
+    if np.all(x == x[0]):  # no variation, whatever value it repeats: every pair raises
+        assert raised == list(PAIRS)
+        event("constant")
+    for name in raised:
         event(f"{name}: degenerate")
 
 
 def test_the_three_inputs():
-    for call in (
-        lambda: st_ci(TILE, 0.05, 3),
-        lambda: bb_ci(TILE, 0.05, 3, B=50),
-        lambda: bb_ci(TILE, 0.05, 3, B=50, studentized=True),
-        lambda: classical_test(TILE, C, 3, B=50, variant="t1"),
-        lambda: classical_test(TILE, C, 3, B=50, variant="t2"),
-    ):
+    for x in (TILE, CONSTANT):
+        for call in (
+            lambda: st_ci(x, 0.05, 3),
+            lambda: bb_ci(x, 0.05, 3, B=50),
+            lambda: bb_ci(x, 0.05, 3, B=50, studentized=True),
+        ):
+            with pytest.raises(DegenerateDataError, match="zero stationary tau estimate"):
+                call()
+    for variant in ("t1", "t2"):
         with pytest.raises(DegenerateDataError, match="zero stationary tau estimate"):
-            call()
+            classical_test(TILE, C, 3, B=50, variant=variant)
+    assert lrv_stationary(CONSTANT, 3).tau_sq_hat == 0.0
     assert lrv_stationary(REMAINDER, 3).tau_sq_hat == 0.2840236686390532
     assert _tau_sq_stationary_rows(REMAINDER[None], 3)[0][0] == 0.2840236686390532
     with pytest.raises(DegenerateDataError, match="zero stationary tau estimate"):
