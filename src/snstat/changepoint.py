@@ -230,23 +230,37 @@ def _split_residual_rows(xc, cs, j_hat: np.ndarray) -> np.ndarray:
 
 
 def _in_slices(xmat: np.ndarray, stat_slice, n: int | None = None):
-    """(stats, ok) of stat_slice run on row slices of at most `core.SLICE_ELEMS` series values.
+    """The per-row arrays of stat_slice, run on row slices of at most `core.SLICE_ELEMS` values.
 
-    Row i of xmat stands for one series of n values: n defaults to the
-    row length of a (rows, n) matrix, and is given when the rows hold
-    something else, such as the block indices of a block resample. A slice
-    is one row if a series is longer, so the temporaries stay bounded and
-    in cache whatever B is.
+    Row i of xmat stands for n values: n defaults to the row length of a
+    (rows, n) matrix, and is given when a stage touches something else per
+    row, such as the l_n block indices of a block resample or the l_n block
+    sums of a replicate. A slice is one row if a row stands for more, so
+    the temporaries stay bounded and in cache whatever B is. stat_slice
+    returns a tuple of arrays whose first axis runs over the slice's rows;
+    they are stacked in row order.
+
+    A bootstrap kernel runs two stages under the one budget: its block
+    stage calls this with n = l_n, and each block-stage slice calls this
+    again for its scan stage, which touches all n values of a row. So the
+    scan's temporaries stay within one slice of n-value rows, the per-row
+    results it keeps for the block stage within one slice of l_n-value
+    rows, and the block stage runs once for many scan slices.
     """
     b = xmat.shape[0]
-    n = xmat.shape[1] if n is None else n
-    stats, ok = np.empty(b), np.empty(b, dtype=bool)
-    start = 0
-    for rows in row_chunks(b, n, core.SLICE_ELEMS):
-        part = slice(start, start + rows)
-        stats[part], ok[part] = stat_slice(xmat[part])
+    sizes = list(row_chunks(b, xmat.shape[1] if n is None else n, core.SLICE_ELEMS))
+    if len(sizes) <= 1:
+        return stat_slice(xmat)
+    out, start = None, 0
+    for rows in sizes:
+        got = stat_slice(xmat[start : start + rows])
+        if out is None:
+            out = tuple(np.empty((b,) + g.shape[1:], g.dtype) for g in got)
+        for whole, part in zip(out, got):
+            whole[start : start + rows] = part
+        del got  # it may hold views of the slice's temporaries: let them go before the next slice
         start += rows
-    return stats, ok
+    return out
 
 
 def _sn_stat_slice(xmat: np.ndarray, splits, k_n: int):
@@ -279,9 +293,18 @@ def _sn_stat_rows(xmat: np.ndarray, c: float, k_n: int):
 def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
     """stat_rows(alpha) for `_resample`: `_sn_stat_rows` of each replicate y = eps * alpha.
 
-    alpha is a (rows, n) multiplier batch. The rows run in `_in_slices`, as
-    in `_sn_stat_rows`, and y is formed one slice at a time, so no (rows, n)
-    product is built. Each row is evaluated from one prefix sum S of y.
+    alpha is a (rows, n) multiplier batch, run in two stages under the one
+    `core.SLICE_ELEMS` budget (see `_in_slices`). The scan stage touches n
+    values per row: on slices of SLICE_ELEMS // n rows it forms y, its
+    prefix sum S, the bound checks, the ratio and its argmax, and keeps only
+    per-row results: max |T|, j_hat, S at j_hat, at n and at the block ends,
+    and for Gaussian weights BQ. The block stage touches l_n values per row:
+    on slices of SLICE_ELEMS // l_n rows, each holding its scan slices, it
+    forms the split means, the block sums, their css, tau^2 and the ok
+    flags, so its NumPy calls run once for many scan slices. Where it needs
+    y again, for a straddling block or a fallback row, it forms the same
+    product eps * alpha of those values, so no (rows, n) product is built
+    and no value depends on the slicing.
 
     With Q the prefix sums of y^2, the prefix and suffix css at a split j
     are Q_j - S_j^2 / j and (Q_n - Q_j) - (S_n - S_j)^2 / (n - j), so the
@@ -333,7 +356,8 @@ def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
 
     unit = split_constants(eps[None]) if _LAWS[law][1] else None
 
-    def stat_slice(alpha):
+    def scan_slice(alpha):
+        """The scan stage of a slice of replicates: what the block stage needs of each row."""
         y = eps * alpha
         bq, big_a, lim_pre, lim_suf = unit if unit is not None else split_constants(y)
         s = np.cumsum(y, axis=1)
@@ -351,33 +375,45 @@ def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
         ratio /= denom
         rows = np.arange(y.shape[0])
         i_hat = np.argmax(ratio, axis=1)
-        max_t = np.sqrt(ratio[rows, i_hat])
         j_hat = j[i_hat]
-        s_hat = s[rows, j_hat - 1]
+        kept = (np.sqrt(ratio[rows, i_hat]), j_hat, s[rows, j_hat - 1], s[:, -1], s[:, ends], bad)
+        return kept if unit is not None else kept + (bq,)
+
+    def block_slice(alpha):
+        """The block stage of a slice of replicates, on the scan stage's per-row results."""
+        max_t, j_hat, s_hat, s_n, s_ends, bad, *row_bq = _in_slices(alpha, scan_slice)
+        bq = row_bq[0] if row_bq else unit[0]
         m_pre = (s_hat / j_hat)[:, None]
-        m_suf = ((s[:, -1] - s_hat) / (n - j_hat))[:, None]
+        m_suf = ((s_n - s_hat) / (n - j_hat))[:, None]
         before = np.minimum(np.maximum(j_hat[:, None] - starts, 0), k_n)  # values up to j_hat
 
         def residuals(r, blk):
             cols = starts[blk][:, None] + np.arange(k_n)
-            return y[r[:, None], cols] - np.where(cols < j_hat[r, None], m_pre[r], m_suf[r])
+            y = eps[cols] * alpha[r[:, None], cols]
+            return y - np.where(cols < j_hat[r, None], m_pre[r], m_suf[r])
 
-        s_ends = s[:, ends]
-        bs = s_ends.copy()
-        np.subtract(s_ends[:, 1:], s_ends[:, :-1], out=bs[:, 1:])
+        # block sums, differenced in place in C order: einsum's row sums depend on the layout.
+        # A one-slice scan stage hands back S's strided columns, which this copies.
+        bs = np.ascontiguousarray(s_ends)
+        bs[:, 1:] -= bs[:, :-1]
         straddle = (before > 0) & (before < k_n)
         css, degenerate = _block_css(bs, bq, k_n, residuals, straddle)
-        bs -= before * m_pre + (k_n - before) * m_suf
-        tau_sq = np.einsum("rl,rl->r", bs, bs / css) / part.l_n
+        # in place where the values allow: each (rows, l_n) array here fills a slice
+        mean_sums = before * m_pre  # each block's values times their segment's mean
+        mean_sums += np.subtract(k_n, before, out=before) * m_suf
+        bs -= mean_sums
+        tau_sq = np.einsum("rl,rl->r", bs, np.divide(bs, css, out=css)) / part.l_n
         stats = max_t / np.sqrt(tau_sq)
         ok = ~degenerate.any(axis=1) & (tau_sq > 0.0)
-        if bad.any():
-            stats[bad], ok[bad] = _sn_stat_rows(y[bad], c, k_n)
+        if bad.any():  # the general kernel on y = eps * alpha, re-formed a scan slice at a time
+            rows = np.flatnonzero(bad)[:, None]
+            general = _in_slices(rows, lambda r: _sn_stat_rows(eps * alpha[r[:, 0]], c, k_n), n)
+            stats[bad], ok[bad] = general
         return stats, ok
 
     def stat_rows(alpha):
         with np.errstate(divide="ignore", invalid="ignore"):  # only in rows that are not ok
-            return _in_slices(alpha, stat_slice)
+            return _in_slices(alpha, block_slice, part.l_n)
 
     return stat_rows
 
@@ -424,11 +460,13 @@ def sn_test(
     estimated split. Each bootstrap replicate multiplies those residuals
     by i.i.d. signs/weights and re-runs the whole pipeline, including its
     own split estimate and tau. The multipliers are drawn in batches, as in
-    `wild_bootstrap_mean`, and handed to `_sn_wild_rows`, which forms each
-    replicate one cache-sized slice at a time and evaluates it from one
-    prefix sum of its values and per-call constants of the residuals' sums
-    of squares; a row near a rounding bound runs the general kernel
-    `_sn_stat_rows`.
+    `wild_bootstrap_mean`, and handed to `_sn_wild_rows`, which evaluates
+    each replicate from one prefix sum of its values and per-call constants
+    of the residuals' sums of squares; a row near a rounding bound runs the
+    general kernel `_sn_stat_rows`. Its scan stage forms the replicates one
+    cache-sized slice of n-value rows at a time; its block stage, which
+    forms each replicate's residual blocks and tau, runs on slices of
+    l_n-value rows, once for many scan slices.
     """
     law = _check_law(law)
     statistic, scan, eps, tau = sn_statistic(x, c, k_n)
@@ -454,9 +492,13 @@ def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
     table plus the running total of the blocks before them, and its tau^2
     comes from its blocks' means, so no resampled series is gathered and
     none is summed. ok flags rows with tau^2 > 0, as in
-    `_tau_sq_stationary_rows`. The index rows run in `_in_slices`, sized
-    by the n' = k_n * l_n values each replicate stands for, so the gathered
-    prefix sums and the scan stay within one slice budget whatever B is.
+    `_tau_sq_stationary_rows`. The index rows run in two stages under the
+    one `core.SLICE_ELEMS` budget (see `_in_slices`): the scan stage, on
+    slices sized by the n' = k_n * l_n values each replicate stands for,
+    keeps each row's largest scan value, so the gathered prefix sums and the
+    scan stay within one slice whatever B is; the tau stage, on slices of
+    SLICE_ELEMS // l_n rows that hold the scan slices, gathers the drawn
+    blocks' means and forms tau^2 once for many scan slices.
     """
     part = partition(xc.size, k_n)
     blocks = part.view(xc)
@@ -468,7 +510,8 @@ def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
     jn = j / n
     scale = np.sqrt(j * (1.0 - jn))  # t1 studentizes, t2 does not
 
-    def stat_slice(idx):
+    def scan_slice(idx):
+        """The scan stage of a slice of replicates: each row's largest scan value."""
         rows = idx.shape[0]
         s = within[idx]
         s[:, 1:] += np.cumsum(totals[idx[:, :-1]], axis=1)[:, :, None]
@@ -476,12 +519,17 @@ def _classical_block_rows(xc: np.ndarray, c: float, k_n: int, variant: str):
         np.abs(values, out=values)
         if variant == "t1":
             values /= scale
+        return (values.max(axis=1),)
+
+    def tau_slice(idx):
+        """The tau stage of a slice of replicates, on the scan stage's largest values."""
+        (top,) = _in_slices(idx, scan_slice, n)
         bm = means[idx]
         tau_sq = _mean_sq(_d_stationary(bm, bm.mean(axis=1), k_n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return values.max(axis=1) / np.sqrt(tau_sq), tau_sq > 0.0
+            return top / np.sqrt(tau_sq), tau_sq > 0.0
 
-    return lambda idx: _in_slices(idx, stat_slice, n)
+    return lambda idx: _in_slices(idx, tau_slice)
 
 
 def classical_test(

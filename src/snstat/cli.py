@@ -325,7 +325,7 @@ def cmd_experiment(args):
     config = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:  # as ingest_csv reads a CSV
                 config = json.load(fh)
         except (OSError, ValueError) as exc:  # a JSON or decoding error is a ValueError
             raise CsvError(f"cannot read {args.config}: {exc}") from exc

@@ -428,10 +428,13 @@ class TestBootstrapKernels:
         one_by_one = [stat_rows(idx[i : i + 1]) for i in range(40)]
         np.testing.assert_array_equal(stats, np.concatenate([r[0] for r in one_by_one]))
         np.testing.assert_array_equal(ok, np.concatenate([r[1] for r in one_by_one]))
-        monkeypatch.setattr(core, "SLICE_ELEMS", 2**30)  # the whole batch in one slice
-        whole = stat_rows(idx)
-        np.testing.assert_array_equal(whole[0], stats)
-        np.testing.assert_array_equal(whole[1], ok)
+        # the whole batch in one slice; then tau slices of 37 rows, each cut into 3-row scan
+        # slices, so the tau stage cuts at row 37, where the scan's own stride would not
+        for budget in (2**30, 37 * (n // k)):
+            monkeypatch.setattr(core, "SLICE_ELEMS", budget)
+            whole = stat_rows(idx)
+            np.testing.assert_array_equal(whole[0], stats, err_msg=str(budget))
+            np.testing.assert_array_equal(whole[1], ok, err_msg=str(budget))
 
     def test_classical_rows_peak_memory_bounded_by_slice(self):
         # at n = 10^5 a slice is one replicate: its gathered prefix sums are 0.8 MB
@@ -447,6 +450,57 @@ class TestBootstrapKernels:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
+
+    @pytest.mark.parametrize("law", ["rademacher", "gaussian"])
+    def test_sn_rows_do_not_depend_on_the_slicing(self, monkeypatch, law):
+        # 25 blocks of 10: the scan stage slices n = 250 values per row, the block
+        # stage l_n = 25, so each budget cuts the two stages at different rows
+        n, k, l_n, rows = 250, 10, 25, 40
+        rng = np.random.default_rng(11)
+        eps = rng.normal(size=n) * np.linspace(1.0, 3.0, n)
+        eps[:25] = 0.7  # the prefix at the first split j = 25 can be constant
+        eps -= eps.mean()
+        alpha = inference._multipliers(rng, law, (rows, n))
+        fallback = [0, 17, 39]
+        alpha[fallback, :25] = 1  # a prefix css of 0: these rows run the general kernel
+        splits = changepoint._sn_splits(n, 0.1)
+        t = changepoint._sn_scan_rows(eps * alpha, splits)[0]
+        j_hat = splits[0][np.argmax(np.abs(t), axis=1)]
+        assert np.any(j_hat % k != 0)  # a block straddles j_hat: its css is recomputed
+        stat_rows = changepoint._sn_wild_rows(eps, 0.1, k, law)
+        one_by_one = [stat_rows(alpha[i : i + 1]) for i in range(rows)]
+        expected = [np.concatenate([r[i] for r in one_by_one]) for i in (0, 1)]
+        assert 0 < expected[1].sum() < rows
+        general = []
+
+        def counting(xmat, c, k_n):
+            general.append(xmat.shape[0])
+            return _sn_stat_rows(xmat, c, k_n)
+
+        monkeypatch.setattr(changepoint, "_sn_stat_rows", counting)
+        for budget in (1, n - 1, n + 1, 2 * n + 1, 3 * l_n, 2**30, core.SLICE_ELEMS):
+            monkeypatch.setattr(core, "SLICE_ELEMS", budget)
+            general.clear()
+            stats, ok = stat_rows(alpha)
+            assert sum(general) == len(fallback), budget
+            np.testing.assert_array_equal(stats, expected[0], err_msg=str(budget))
+            np.testing.assert_array_equal(ok, expected[1], err_msg=str(budget))
+
+    @pytest.mark.parametrize("rows, n, k, bound", [(1000, 1200, 25, 1.0), (10, 100_000, 300, 3.5)])
+    def test_sn_wild_rows_peak_memory_bounded_by_slice(self, rows, n, k, bound):
+        # one (1000, 1200) float64 temporary alone is 9.6 MB; (10, 10^5) is a half batch
+        rng = np.random.default_rng(0)
+        eps = rng.normal(size=n) * np.linspace(1.0, 3.0, n)
+        eps -= eps.mean()
+        alpha = inference._multipliers(rng, "rademacher", (rows, n))
+        stat_rows = changepoint._sn_wild_rows(eps, 0.1, k, "rademacher")
+        tracemalloc.start()
+        try:
+            stat_rows(alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20, peak
 
     def test_row_with_a_constant_prefix_runs_the_general_kernel(self, monkeypatch):
         # the first 12 splits of row 0 see one repeated value: its prefix css

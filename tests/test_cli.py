@@ -486,6 +486,9 @@ NAMES = [
     ("simulate --n 4 --profile A1 --theta 0.4", "--error", "b1", "B1", "kind"),
 ]
 
+# a config saved with a byte-order mark, beside its twin without one
+BOM_FREE = Case(COVERAGE + " --config cfg.json --boot 10", files=cfg({"replications": 2}))
+
 CASES = [
     # one report of each subcommand, and the bootstrap kernels' paths
     *[Case(f"simulate {model} --seed 1 --out sim.csv", lines=1) for model in [
@@ -535,6 +538,10 @@ CASES = [
          "--no-header"),
     Case("lrv x.csv --blocks 10 --col value"),
     Case("lrv bom.csv --blocks 10 --col value", same_as="lrv x.csv --blocks 10 --col value"),
+    # and so is an experiment's --config
+    BOM_FREE,
+    Case(BOM_FREE.argv, files={"cfg.json": "\ufeff" + BOM_FREE.files["cfg.json"]},
+         same_as=BOM_FREE.id),
     # the stationary tau_hat of a series with no variation between blocks is 0 whatever
     # its mean rounds to; with a remainder that moves the mean it is not
     Case("lrv rem.csv --blocks 3 --stationary", out='"tau_sq_hat": 0.2840236686390532'),
