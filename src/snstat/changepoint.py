@@ -238,7 +238,7 @@ def _in_slices(xmat: np.ndarray, stat_slice, n: int | None = None):
     sums of a replicate. A slice is one row if a row stands for more, so
     the temporaries stay bounded and in cache whatever B is. stat_slice
     returns a tuple of arrays whose first axis runs over the slice's rows;
-    they are stacked in row order.
+    they are copied in row order into fresh arrays of the whole batch.
 
     A bootstrap kernel runs two stages under the one budget: its block
     stage calls this with n = l_n, and each block-stage slice calls this
@@ -248,17 +248,15 @@ def _in_slices(xmat: np.ndarray, stat_slice, n: int | None = None):
     rows, and the block stage runs once for many scan slices.
     """
     b = xmat.shape[0]
-    sizes = list(row_chunks(b, xmat.shape[1] if n is None else n, core.SLICE_ELEMS))
-    if len(sizes) <= 1:
-        return stat_slice(xmat)
     out, start = None, 0
-    for rows in sizes:
+    # an empty batch runs one empty slice, so it still returns empty arrays
+    for rows in list(row_chunks(b, xmat.shape[1] if n is None else n, core.SLICE_ELEMS)) or [0]:
         got = stat_slice(xmat[start : start + rows])
         if out is None:
             out = tuple(np.empty((b,) + g.shape[1:], g.dtype) for g in got)
         for whole, part in zip(out, got):
             whole[start : start + rows] = part
-        del got  # it may hold views of the slice's temporaries: let them go before the next slice
+        del got, part  # they may be views of the slice's temporaries: let them go before the next
         start += rows
     return out
 
@@ -392,9 +390,7 @@ def _sn_wild_rows(eps: np.ndarray, c: float, k_n: int, law: str):
             y = eps[cols] * alpha[r[:, None], cols]
             return y - np.where(cols < j_hat[r, None], m_pre[r], m_suf[r])
 
-        # block sums, differenced in place in C order: einsum's row sums depend on the layout.
-        # A one-slice scan stage hands back S's strided columns, which this copies.
-        bs = np.ascontiguousarray(s_ends)
+        bs = s_ends  # S at the block ends, differenced in place into the block sums
         bs[:, 1:] -= bs[:, :-1]
         straddle = (before > 0) & (before < k_n)
         css, degenerate = _block_css(bs, bq, k_n, residuals, straddle)

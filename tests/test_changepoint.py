@@ -486,14 +486,21 @@ class TestBootstrapKernels:
             np.testing.assert_array_equal(stats, expected[0], err_msg=str(budget))
             np.testing.assert_array_equal(ok, expected[1], err_msg=str(budget))
 
-    @pytest.mark.parametrize("rows, n, k, bound", [(1000, 1200, 25, 1.0), (10, 100_000, 300, 3.5)])
-    def test_sn_wild_rows_peak_memory_bounded_by_slice(self, rows, n, k, bound):
+    @pytest.mark.parametrize(
+        "law, rows, n, k, bound",
+        [
+            ("rademacher", 1000, 1200, 25, 1.0),
+            ("rademacher", 10, 100_000, 300, 3.5),
+            ("gaussian", 1000, 1200, 25, 1.5),  # the scan stage also keeps BQ for each row
+        ],
+    )
+    def test_sn_wild_rows_peak_memory_bounded_by_slice(self, law, rows, n, k, bound):
         # one (1000, 1200) float64 temporary alone is 9.6 MB; (10, 10^5) is a half batch
         rng = np.random.default_rng(0)
         eps = rng.normal(size=n) * np.linspace(1.0, 3.0, n)
         eps -= eps.mean()
-        alpha = inference._multipliers(rng, "rademacher", (rows, n))
-        stat_rows = changepoint._sn_wild_rows(eps, 0.1, k, "rademacher")
+        alpha = inference._multipliers(rng, law, (rows, n))
+        stat_rows = changepoint._sn_wild_rows(eps, 0.1, k, law)
         tracemalloc.start()
         try:
             stat_rows(alpha)
